@@ -185,3 +185,41 @@ func TestProgressCallback(t *testing.T) {
 		t.Errorf("progress called %d times, want %d", calls, len(cases))
 	}
 }
+
+// The worker count only changes which goroutine solves a case, never the
+// outcome: one worker and four must agree case by case. The EX-MEM node
+// limit is low enough that some searches run out of it, so budget-outs
+// are compared too.
+func TestRunWorkerCountInvariant(t *testing.T) {
+	cases, plat := miniSuite(t)
+	scheds := func() []sched.Scheduler {
+		return []sched.Scheduler{
+			exmem.NewWithOptions(exmem.Options{NodeLimit: 2_000}),
+			lagrange.New(),
+			core.New(),
+		}
+	}
+	one, err := Run(cases, scheds(), plat, RunOptions{Workers: 1, Validate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := Run(cases, scheds(), plat, RunOptions{Workers: 4, Validate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgets := 0
+	for _, name := range one.Schedulers {
+		for ci, a := range one.PerCase[name] {
+			b := four.PerCase[name][ci]
+			if a.OK != b.OK || a.Energy != b.Energy || a.Budget != b.Budget || a.Invalid != b.Invalid {
+				t.Errorf("%s case %s: 1 worker %+v, 4 workers %+v", name, cases[ci].Name, a, b)
+			}
+			if a.Budget {
+				budgets++
+			}
+		}
+	}
+	if budgets == 0 {
+		t.Error("no EX-MEM budget-outs: the node limit no longer bites on this suite")
+	}
+}

@@ -28,12 +28,14 @@
 package exmem
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"adaptrm/internal/core"
 	"adaptrm/internal/job"
@@ -77,13 +79,22 @@ type Stats struct {
 	MemoEntries int
 }
 
-// Scheduler is the EX-MEM scheduler.
+// Scheduler is the EX-MEM scheduler. It keeps its stats and search
+// buffers between calls, so give each goroutine its own. A call that
+// overlaps another still returns the right schedule: it searches in
+// fresh buffers and leaves LastStats to the call that holds them.
 type Scheduler struct {
 	opt   Options
 	stats Stats
 	// seed computes the MMKP-MDF incumbent. Holding one instance lets
 	// repeated activations reuse its scratch buffers.
 	seed *core.Scheduler
+	// mu guards stats and buf, the search scratch, which is kept
+	// between calls for the same reason. Calls take it with TryLock: a
+	// serialised caller always wins and reuses buf; a concurrent caller
+	// does not block.
+	mu  sync.Mutex
+	buf buffers
 }
 
 // New returns an EX-MEM scheduler with default options.
@@ -105,7 +116,13 @@ type jobMeta struct {
 	j       *job.Job
 	tableID int
 	fastest float64
+	// byTime is the table's points sorted by time, the order
+	// relaxedEnergy scans them in.
+	byTime []timeEnergy
 }
+
+// timeEnergy is the part of an operating point the lower bound reads.
+type timeEnergy struct{ time, energy float64 }
 
 // memoEntry caches a solved state. When exact is true, val is the true
 // optimal energy-to-go and choice the optimal first assignment (aligned
@@ -118,16 +135,58 @@ type memoEntry struct {
 }
 
 type solver struct {
-	cap     platform.Alloc
-	m       int
-	metas   []jobMeta
-	memo    map[string]memoEntry
-	limit   int64
-	nodes   int64
-	hits    int64
-	pure    bool
-	scratch []byte      // reusable memo-key encode buffer
-	pairs   []statePair // reusable canonicalize scratch
+	metas []jobMeta
+	memo  map[string]memoEntry
+	limit int64
+	nodes int64
+	hits  int64
+	pure  bool
+	*buffers
+}
+
+// buffers is the solver's scratch memory.
+//
+// The first five fields are stack arenas. solve takes each node's
+// successor states (alive, rho), their first-segment assignments
+// (choices), the children themselves (kids) and their visit order
+// (order) from the arenas' tops, and truncates the arenas back to its
+// entry marks when it returns. A recursive solve only writes above its
+// parent's top, so every slice the parent holds stays intact; a slice
+// taken before an arena grew keeps the old backing array, which nothing
+// writes any more. Arena memory is reused as soon as solve returns, so
+// anything that outlives the call (a memo entry's choice) is copied out.
+//
+// The next four are flat scratch for steps that never recurse into
+// solve, and curves holds the call's per-table lower-bound data.
+type buffers struct {
+	alive   []int
+	rho     []float64
+	choices []int16
+	kids    []child
+	order   []rank
+
+	key   []byte         // memo-key encode buffer
+	pairs []statePair    // canonicalize scratch
+	pick  []int16        // enumerate's assignment under construction
+	free  platform.Alloc // enumerate's remaining capacity
+
+	curves []timeEnergy // backing store of every jobMeta.byTime
+}
+
+// arenaMarks records the arenas' tops; alive and rho always share one.
+type arenaMarks struct{ states, choices, kids, order int }
+
+func (b *buffers) mark() arenaMarks {
+	return arenaMarks{len(b.alive), len(b.choices), len(b.kids), len(b.order)}
+}
+
+// release truncates the arenas back to m.
+func (b *buffers) release(m arenaMarks) {
+	b.alive = b.alive[:m.states]
+	b.rho = b.rho[:m.states]
+	b.choices = b.choices[:m.choices]
+	b.kids = b.kids[:m.kids]
+	b.order = b.order[:m.order]
 }
 
 // state is a search node: alive job indices (into metas) in canonical
@@ -140,26 +199,42 @@ type state struct {
 
 var errBudgetPanic = errors.New("exmem: internal budget")
 
-// newSolver builds a solver and canonical root state for (jobs, plat, t).
-func (s *Scheduler) newSolver(jobs job.Set, plat platform.Platform, t float64) (*solver, state) {
+// newSolver builds a solver and canonical root state for (jobs, plat, t)
+// on buf.
+func (s *Scheduler) newSolver(jobs job.Set, plat platform.Platform, t float64, pure bool, buf *buffers) (*solver, state) {
 	sol := &solver{
-		cap:   plat.Capacity(),
-		m:     plat.NumTypes(),
-		memo:  make(map[string]memoEntry),
-		limit: s.opt.NodeLimit,
-		pure:  s.opt.PureExhaustive,
+		memo:    make(map[string]memoEntry),
+		limit:   s.opt.NodeLimit,
+		pure:    pure,
+		buffers: buf,
 	}
 	if sol.limit <= 0 {
 		sol.limit = DefaultNodeLimit
 	}
-	tableIDs := make(map[*opset.Table]int)
+	sol.release(arenaMarks{})
+	sol.pick = slices.Grow(sol.pick[:0], len(jobs))[:len(jobs)]
+	sol.free = append(sol.free[:0], plat.Capacity()...)
+	// Size the curve store up front so the byTime slices taken below
+	// all share one backing array.
+	points := 0
 	for _, j := range jobs {
-		id, ok := tableIDs[j.Table]
+		points += len(j.Table.Points)
+	}
+	sol.curves = slices.Grow(sol.curves[:0], points)
+	tables := make(map[*opset.Table]jobMeta)
+	for _, j := range jobs {
+		meta, ok := tables[j.Table]
 		if !ok {
-			id = len(tableIDs)
-			tableIDs[j.Table] = id
+			lo := len(sol.curves)
+			for _, p := range j.Table.Points {
+				sol.curves = append(sol.curves, timeEnergy{p.Time, p.Energy})
+			}
+			meta = jobMeta{tableID: len(tables), fastest: j.Table.FastestTime(), byTime: sol.curves[lo:]}
+			slices.SortFunc(meta.byTime, func(a, b timeEnergy) int { return cmp.Compare(a.time, b.time) })
+			tables[j.Table] = meta
 		}
-		sol.metas = append(sol.metas, jobMeta{j: j, tableID: id, fastest: j.Table.FastestTime()})
+		meta.j = j
+		sol.metas = append(sol.metas, meta)
 	}
 	root := state{t: t}
 	for i := range sol.metas {
@@ -171,54 +246,35 @@ func (s *Scheduler) newSolver(jobs job.Set, plat platform.Platform, t float64) (
 }
 
 // Schedule implements sched.Scheduler.
-func (s *Scheduler) Schedule(jobs job.Set, plat platform.Platform, t float64) (k *schedule.Schedule, err error) {
-	if err := jobs.Validate(t); err != nil {
-		return nil, err
-	}
-	sol, root := s.newSolver(jobs, plat, t)
-
-	defer func() {
-		s.stats = Stats{Nodes: sol.nodes, MemoHits: sol.hits, MemoEntries: len(sol.memo)}
-		if r := recover(); r != nil {
-			if r == errBudgetPanic { //nolint:errorlint // sentinel identity
-				k, err = nil, ErrBudget
-				return
+func (s *Scheduler) Schedule(jobs job.Set, plat platform.Platform, t float64) (*schedule.Schedule, error) {
+	return s.search(jobs, plat, t, s.opt.PureExhaustive, func(sol *solver, root state) (*schedule.Schedule, error) {
+		ub := math.Inf(1)
+		if !sol.pure {
+			// Seed the incumbent with MMKP-MDF: its schedules reconfigure
+			// only at completions, so they lie inside EX-MEM's class and
+			// their energy upper-bounds the optimum.
+			if s.seed == nil {
+				s.seed = core.New()
 			}
-			panic(r)
+			if mk, err := s.seed.Schedule(jobs, plat, t); err == nil {
+				ub = mk.Energy(jobs) + 1e-6
+			}
 		}
-	}()
-
-	ub := math.Inf(1)
-	if !sol.pure {
-		// Seed the incumbent with MMKP-MDF: its schedules reconfigure
-		// only at completions, so they lie inside EX-MEM's class and
-		// their energy upper-bounds the optimum.
-		if s.seed == nil {
-			s.seed = core.New()
-		}
-		if mk, err := s.seed.Schedule(jobs, plat, t); err == nil {
-			ub = mk.Energy(jobs) + 1e-6
-		}
-	}
-	val, exact := sol.solve(root, ub)
-	if math.IsInf(val, 1) {
-		return nil, sched.ErrInfeasible
-	}
-	if !exact {
-		// Only possible when the seeded bound was itself unbeatable,
-		// which contradicts seeding with a valid member of the class;
-		// defensively re-run unseeded.
-		val, exact = sol.solve(root, math.Inf(1))
-		if !exact || math.IsInf(val, 1) {
+		val, exact := sol.solve(root, ub)
+		if math.IsInf(val, 1) {
 			return nil, sched.ErrInfeasible
 		}
-	}
-	k, err = sol.reconstruct(root)
-	if err != nil {
-		return nil, err
-	}
-	k.Normalize()
-	return k, nil
+		if !exact {
+			// Only possible when the seeded bound was itself unbeatable,
+			// which contradicts seeding with a valid member of the class;
+			// defensively re-run unseeded.
+			val, exact = sol.solve(root, math.Inf(1))
+			if !exact || math.IsInf(val, 1) {
+				return nil, sched.ErrInfeasible
+			}
+		}
+		return sol.reconstruct(root)
+	})
 }
 
 // ScheduleBudgeted searches for a schedule strictly cheaper than the
@@ -234,15 +290,36 @@ func (s *Scheduler) Schedule(jobs job.Set, plat platform.Platform, t float64) (k
 // node budget ran out first — the caller keeps the incumbent either
 // way. Branch-and-bound is always enabled here regardless of
 // Options.PureExhaustive: the incumbent bound is the whole point.
-func (s *Scheduler) ScheduleBudgeted(jobs job.Set, plat platform.Platform, t, incumbent float64) (k *schedule.Schedule, err error) {
+func (s *Scheduler) ScheduleBudgeted(jobs job.Set, plat platform.Platform, t, incumbent float64) (*schedule.Schedule, error) {
+	return s.search(jobs, plat, t, false, func(sol *solver, root state) (*schedule.Schedule, error) {
+		val, exact := sol.solve(root, incumbent)
+		if !exact || math.IsInf(val, 1) || val >= incumbent-1e-12 {
+			return nil, ErrNoImprovement
+		}
+		return sol.reconstruct(root)
+	})
+}
+
+// search validates the jobs, builds a solver for them and runs body on
+// it. It records the call's stats (when it holds the buffers), turns a
+// node-budget panic into ErrBudget and normalizes the schedule body
+// returns.
+func (s *Scheduler) search(jobs job.Set, plat platform.Platform, t float64, pure bool,
+	body func(sol *solver, root state) (*schedule.Schedule, error)) (k *schedule.Schedule, err error) {
 	if err := jobs.Validate(t); err != nil {
 		return nil, err
 	}
-	sol, root := s.newSolver(jobs, plat, t)
-	sol.pure = false
+	buf, own := &s.buf, s.mu.TryLock()
+	if !own {
+		buf = new(buffers)
+	}
+	sol, root := s.newSolver(jobs, plat, t, pure, buf)
 
 	defer func() {
-		s.stats = Stats{Nodes: sol.nodes, MemoHits: sol.hits, MemoEntries: len(sol.memo)}
+		if own {
+			s.stats = Stats{Nodes: sol.nodes, MemoHits: sol.hits, MemoEntries: len(sol.memo)}
+			s.mu.Unlock()
+		}
 		if r := recover(); r != nil {
 			if r == errBudgetPanic { //nolint:errorlint // sentinel identity
 				k, err = nil, ErrBudget
@@ -252,11 +329,7 @@ func (s *Scheduler) ScheduleBudgeted(jobs job.Set, plat platform.Platform, t, in
 		}
 	}()
 
-	val, exact := sol.solve(root, incumbent)
-	if !exact || math.IsInf(val, 1) || val >= incumbent-1e-12 {
-		return nil, ErrNoImprovement
-	}
-	k, err = sol.reconstruct(root)
+	k, err = body(sol, root)
 	if err != nil {
 		return nil, err
 	}
@@ -312,16 +385,16 @@ func (sol *solver) canonicalize(st *state) {
 // Absolute time is excluded: energy-to-go is invariant under time shifts
 // once slacks are fixed.
 //
-// The returned slice aliases sol.scratch and is invalidated by the next
+// The returned slice aliases sol.key and is invalidated by the next
 // keyBytes call. Memo lookups index the map with string(b) directly —
 // the compiler elides that conversion — so only the first store of each
 // entry materialises a key string.
 func (sol *solver) keyBytes(st *state) []byte {
 	need := len(st.alive) * 17
-	if cap(sol.scratch) < need {
-		sol.scratch = make([]byte, need)
+	if cap(sol.key) < need {
+		sol.key = make([]byte, need)
 	}
-	b := sol.scratch[:0]
+	b := sol.key[:0]
 	var tmp [8]byte
 	for i, idx := range st.alive {
 		b = append(b, byte(sol.metas[idx].tableID))
@@ -331,13 +404,12 @@ func (sol *solver) keyBytes(st *state) []byte {
 		binary.BigEndian.PutUint64(tmp[:], uint64(int64(math.Round(slack*1e9))))
 		b = append(b, tmp[:]...)
 	}
-	sol.scratch = b[:0]
+	sol.key = b[:0]
 	return b
 }
 
-// setMemo stores an entry for the state, re-encoding the key (the
-// scratch buffer may have been clobbered by recursive solves since the
-// lookup).
+// setMemo stores an entry for the state, re-encoding the key (the key
+// buffer may have been clobbered by recursive solves since the lookup).
 func (sol *solver) setMemo(st *state, e memoEntry) {
 	sol.memo[string(sol.keyBytes(st))] = e
 }
@@ -353,7 +425,7 @@ func (sol *solver) lowerBound(st *state) float64 {
 		if meta.fastest*st.rho[i] > slack+schedule.Eps {
 			return math.Inf(1)
 		}
-		lb += relaxedEnergy(meta.j.Table.Points, st.rho[i], slack)
+		lb += relaxedEnergy(meta.byTime, st.rho[i], slack)
 	}
 	return lb
 }
@@ -370,28 +442,34 @@ func (sol *solver) lowerBound(st *state) float64 {
 // case) that pruned the root itself, masking real improvements.
 // The LP optimum lies on a vertex mixing at most two points, so trying
 // every feasible point and every slack-exhausting pair is exact.
-func relaxedEnergy(points []opset.Point, rho, slack float64) float64 {
+//
+// byTime must be sorted by time. A partner q slower than p, or too slow
+// to finish rho within slack on its own (q.time ≥ slack/rho, so p's
+// share f would be ≤ 0), never mixes, and with the points in time order
+// the scan over partners stops at the first such q.
+func relaxedEnergy(byTime []timeEnergy, rho, slack float64) float64 {
 	best := math.Inf(1)
-	for i := range points {
-		p := &points[i]
-		if p.Time*rho <= slack+schedule.Eps {
-			if e := p.Energy * rho; e < best {
+	perWork := slack / rho
+	for i := range byTime {
+		p := &byTime[i]
+		if p.time*rho <= slack+schedule.Eps {
+			if e := p.energy * rho; e < best {
 				best = e
 			}
 			continue
 		}
 		// p alone misses the deadline; mix it with a faster point q,
 		// sizing p's share f so the pair exactly exhausts the slack.
-		for j := range points {
-			q := &points[j]
-			if q.Time >= p.Time {
-				continue
+		for j := range byTime {
+			q := &byTime[j]
+			if q.time >= p.time || q.time >= perWork {
+				break
 			}
-			f := (slack/rho - q.Time) / (p.Time - q.Time)
+			f := (perWork - q.time) / (p.time - q.time)
 			if f <= 0 || f >= 1 {
 				continue
 			}
-			if e := rho * (f*p.Energy + (1-f)*q.Energy); e < best {
+			if e := rho * (f*p.energy + (1-f)*q.energy); e < best {
 				best = e
 			}
 		}
@@ -400,7 +478,7 @@ func relaxedEnergy(points []opset.Point, rho, slack float64) float64 {
 }
 
 // child is one enumerated joint assignment expanded into the successor
-// state.
+// state. Its slices live in the solver's arenas.
 type child struct {
 	choice []int16
 	segE   float64
@@ -439,24 +517,25 @@ func (sol *solver) solve(st state, ub float64) (float64, bool) {
 		sol.storeBound(&st, lb)
 		return lb, false
 	}
+	top := sol.mark()
+	defer sol.release(top)
 	children := sol.enumerate(&st)
 	if len(children) == 0 {
 		sol.setMemo(&st, memoEntry{val: math.Inf(1), exact: true})
 		return math.Inf(1), true
 	}
-	sort.SliceStable(children, func(a, b int) bool {
-		return children[a].segE+children[a].lb < children[b].segE+children[b].lb
-	})
 	best := math.Inf(1)
 	var bestChoice []int16
-	for i := range children {
-		ch := &children[i]
+	for _, r := range sol.visitOrder(children, ub) {
+		ch := &children[r.i]
 		bound := ub
 		if best < bound {
 			bound = best
 		}
-		if !sol.pure && ch.segE+ch.lb >= bound-1e-12 {
-			continue
+		if !sol.pure && r.key >= bound-1e-12 {
+			// Keys only grow along the order and the bound only
+			// shrinks, so every later child would be pruned too.
+			break
 		}
 		v, exact := sol.solve(ch.next, bound-ch.segE)
 		total := ch.segE + v
@@ -466,11 +545,44 @@ func (sol *solver) solve(st state, ub float64) (float64, bool) {
 		}
 	}
 	if sol.pure || best < ub-1e-12 {
-		sol.setMemo(&st, memoEntry{val: best, exact: true, choice: bestChoice})
+		sol.setMemo(&st, memoEntry{val: best, exact: true, choice: slices.Clone(bestChoice)})
 		return best, true
 	}
 	sol.storeBound(&st, ub)
 	return ub, false
+}
+
+// rank is one child's place in the visit order.
+type rank struct {
+	key float64 // segE+lb: no schedule through the child costs less
+	i   int32   // the child's enumeration index
+}
+
+// visitOrder returns the children's ranks, from the order arena, sorted
+// by key with ties in enumeration order: the order a stable sort of the
+// children themselves would give, without moving them. Unless the
+// search is pure, it leaves out every child whose key already reaches
+// ub, since solve would prune it against any bound it can reach.
+func (sol *solver) visitOrder(children []child, ub float64) []rank {
+	base := len(sol.order)
+	for i := range children {
+		key := children[i].segE + children[i].lb
+		if !sol.pure && key >= ub-1e-12 {
+			continue
+		}
+		sol.order = append(sol.order, rank{key, int32(i)})
+	}
+	order := sol.order[base:]
+	slices.SortFunc(order, func(a, b rank) int {
+		switch {
+		case a.key < b.key:
+			return -1
+		case a.key > b.key:
+			return 1
+		}
+		return int(a.i - b.i)
+	})
+	return order
 }
 
 // storeBound records a lower-bound certificate, keeping the strongest.
@@ -488,42 +600,44 @@ func (sol *solver) storeBound(st *state, val float64) {
 // jobs (operating point or suspension, not all suspended) whose successor
 // state is not provably doomed. Twin jobs (same table, ratio, slack) are
 // forced into non-decreasing point order to skip symmetric duplicates.
+// The children are pushed onto the kids arena; the returned slice is
+// the part this call pushed.
 func (sol *solver) enumerate(st *state) []child {
-	n := len(st.alive)
-	choice := make([]int16, n)
-	free := sol.cap.Clone()
-	var out []child
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			sol.expand(st, choice, &out)
-			return
-		}
-		meta := sol.metas[st.alive[i]]
-		// Suspension first (twin ordering treats -1 as smallest).
-		lo := int16(-1)
-		if i > 0 && sol.twin(st, i-1, i) {
-			lo = choice[i-1]
-		}
-		if lo <= -1 {
-			choice[i] = -1
-			rec(i + 1)
-		}
-		for pi, p := range meta.j.Table.Points {
-			if int16(pi) < lo {
-				continue
-			}
-			if !p.Alloc.Fits(free) {
-				continue
-			}
-			free.SubInPlace(p.Alloc)
-			choice[i] = int16(pi)
-			rec(i + 1)
-			free.AddInPlace(p.Alloc)
-		}
+	base := len(sol.kids)
+	sol.assign(st, 0)
+	return sol.kids[base:]
+}
+
+// assign chooses position i's point (or suspension) in sol.pick, given
+// the capacity sol.free left by positions before it, and expands every
+// complete assignment.
+func (sol *solver) assign(st *state, i int) {
+	if i == len(st.alive) {
+		sol.expand(st, sol.pick)
+		return
 	}
-	rec(0)
-	return out
+	choice := sol.pick
+	// Suspension first (twin ordering treats -1 as smallest).
+	lo := int16(-1)
+	if i > 0 && sol.twin(st, i-1, i) {
+		lo = choice[i-1]
+	}
+	if lo <= -1 {
+		choice[i] = -1
+		sol.assign(st, i+1)
+	}
+	for pi, p := range sol.metas[st.alive[i]].j.Table.Points {
+		if int16(pi) < lo {
+			continue
+		}
+		if !p.Alloc.Fits(sol.free) {
+			continue
+		}
+		sol.free.SubInPlace(p.Alloc)
+		choice[i] = int16(pi)
+		sol.assign(st, i+1)
+		sol.free.AddInPlace(p.Alloc)
+	}
 }
 
 // twin reports whether canonical positions a and b are interchangeable.
@@ -534,9 +648,9 @@ func (sol *solver) twin(st *state, a, b int) bool {
 		ma.j.Deadline == mb.j.Deadline
 }
 
-// expand turns one joint assignment into a child node, applying the
-// admissible deadline prune on the successor state.
-func (sol *solver) expand(st *state, choice []int16, out *[]child) {
+// expand turns one joint assignment into a child node on the kids
+// arena, applying the admissible deadline prune on the successor state.
+func (sol *solver) expand(st *state, choice []int16) {
 	sol.nodes++
 	if sol.nodes > sol.limit {
 		panic(errBudgetPanic)
@@ -558,6 +672,7 @@ func (sol *solver) expand(st *state, choice []int16, out *[]child) {
 	}
 	segE := 0.0
 	next := state{t: st.t + dt}
+	base := len(sol.alive)
 	for i := 0; i < n; i++ {
 		idx := st.alive[i]
 		rho := st.rho[i]
@@ -570,20 +685,26 @@ func (sol *solver) expand(st *state, choice []int16, out *[]child) {
 			// Finished within this segment; its deadline is respected by
 			// construction only if t+dt ≤ δ.
 			if next.t > sol.metas[idx].j.Deadline+schedule.Eps {
+				sol.alive, sol.rho = sol.alive[:base], sol.rho[:base]
 				return
 			}
 			continue
 		}
-		next.alive = append(next.alive, idx)
-		next.rho = append(next.rho, rho)
+		sol.alive = append(sol.alive, idx)
+		sol.rho = append(sol.rho, rho)
 	}
+	top := len(sol.alive)
+	next.alive, next.rho = sol.alive[base:top:top], sol.rho[base:top:top]
 	sol.canonicalize(&next)
 	lb := sol.lowerBound(&next)
 	if math.IsInf(lb, 1) {
+		sol.alive, sol.rho = sol.alive[:base], sol.rho[:base]
 		return // a surviving job is doomed
 	}
-	*out = append(*out, child{
-		choice: append([]int16(nil), choice...),
+	cbase := len(sol.choices)
+	sol.choices = append(sol.choices, choice...)
+	sol.kids = append(sol.kids, child{
+		choice: sol.choices[cbase:len(sol.choices):len(sol.choices)],
 		segE:   segE,
 		dt:     dt,
 		next:   next,
@@ -592,7 +713,8 @@ func (sol *solver) expand(st *state, choice []int16, out *[]child) {
 }
 
 // reconstruct replays the memoized optimal decisions from the root state
-// into a concrete schedule.
+// into a concrete schedule. It only pushes onto the arenas, so each
+// step's state stays valid while the next step expands it.
 func (sol *solver) reconstruct(root state) (*schedule.Schedule, error) {
 	k := &schedule.Schedule{}
 	st := root
@@ -601,12 +723,12 @@ func (sol *solver) reconstruct(root state) (*schedule.Schedule, error) {
 		if !ok || !e.exact || e.choice == nil {
 			return nil, fmt.Errorf("exmem: missing exact memo entry during reconstruction")
 		}
-		var children []child
-		sol.expandChoice(&st, e.choice, &children)
-		if len(children) != 1 {
+		base := len(sol.kids)
+		sol.expandChoice(&st, e.choice)
+		if len(sol.kids) != base+1 {
 			return nil, fmt.Errorf("exmem: stored choice no longer expands")
 		}
-		ch := children[0]
+		ch := sol.kids[base]
 		seg := schedule.Segment{Start: st.t, End: st.t + ch.dt}
 		for i, idx := range st.alive {
 			if e.choice[i] < 0 {
@@ -630,8 +752,8 @@ func (sol *solver) reconstruct(root state) (*schedule.Schedule, error) {
 
 // expandChoice expands a specific stored assignment (bypassing node
 // accounting so reconstruction cannot trip the budget).
-func (sol *solver) expandChoice(st *state, choice []int16, out *[]child) {
+func (sol *solver) expandChoice(st *state, choice []int16) {
 	saved := sol.nodes
-	sol.expand(st, choice, out)
+	sol.expand(st, choice)
 	sol.nodes = saved
 }

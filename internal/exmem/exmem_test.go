@@ -2,6 +2,7 @@ package exmem
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -312,5 +313,54 @@ func TestScheduleBudgetedBudget(t *testing.T) {
 	s := NewWithOptions(Options{NodeLimit: 10})
 	if _, err := s.ScheduleBudgeted(jobs, motiv.Platform(), 0, math.Inf(1)); !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
+	}
+}
+
+// Calls that overlap on one Scheduler must not share search buffers:
+// each must return the schedule a lone call returns.
+func TestConcurrentCallsMatchSerial(t *testing.T) {
+	plat := motiv.Platform()
+	cases := []job.Set{
+		motiv.ScenarioS1AtT1(),
+		motiv.ScenarioS2AtT1(),
+		{
+			{ID: 1, Table: motiv.Lambda1(), Deadline: 30, Remaining: 0.7},
+			{ID: 2, Table: motiv.Lambda2(), Deadline: 10, Remaining: 0.9},
+			{ID: 3, Table: motiv.Lambda2(), Deadline: 18, Remaining: 1},
+		},
+	}
+	want := make([]string, len(cases))
+	for ci, jobs := range cases {
+		k, err := New().Schedule(jobs, plat, 1)
+		if err != nil {
+			t.Fatalf("case %d: %v", ci, err)
+		}
+		want[ci] = k.String()
+	}
+	s := New()
+	const workers = 4
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for round := 0; round < 20; round++ {
+				for ci, jobs := range cases {
+					k, err := s.Schedule(jobs, plat, 1)
+					if err != nil {
+						errs <- fmt.Errorf("case %d: %v", ci, err)
+						return
+					}
+					if got := k.String(); got != want[ci] {
+						errs <- fmt.Errorf("case %d: concurrent schedule\n%s\nwant\n%s", ci, got, want[ci])
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -21,7 +21,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN=${ALLOC_BENCH_PATTERN:-'Fig4SearchTimeMDF|AblationPackEDF|WatchFanout|MetricsRecord|WALAppend|SharedTierLookup|ControlTick'}
+PATTERN=${ALLOC_BENCH_PATTERN:-'Fig4SearchTimeMDF|Fig4SearchTimeEXMEM|AblationPackEDF|WatchFanout|MetricsRecord|WALAppend|SharedTierLookup|ControlTick'}
 TIME=${ALLOC_BENCH_TIME:-100x}
 BASELINE=benchmarks/allocs-baseline.txt
 
@@ -30,12 +30,14 @@ if [[ ! -f $BASELINE ]]; then
 	exit 1
 fi
 
-# The gated set spans the root package (scheduler hot path), the fleet
-# package (watch fan-out publish path), the metrics package (the HTTP
-# instrumentation's per-request recording path), the durable package
-# (the WAL frame-encode + segment-write append path), the schedcache
-# package (the shared-tier probe on the admission hot path) and the
-# control package (the degradation controller's per-tick decision and
+# The gated set spans the root package (scheduler hot path, and the
+# EX-MEM reference search, whose allocs/op are fixed because the search
+# visits the same nodes on every run), the fleet package (watch fan-out
+# publish path), the metrics package (the HTTP instrumentation's
+# per-request recording path), the durable package (the WAL
+# frame-encode + segment-write append path), the schedcache package
+# (the shared-tier probe on the admission hot path) and the control
+# package (the degradation controller's per-tick decision and
 # per-pickup Limits read).
 out=$(go test -run '^$' -bench "$PATTERN" -benchtime "$TIME" -benchmem -timeout 30m . ./internal/fleet ./internal/metrics ./internal/durable ./internal/schedcache ./internal/control)
 printf '%s\n' "$out"
