@@ -36,6 +36,7 @@ func TestControllerSteadyLightLoadEquivalence(t *testing.T) {
 		stop := make(chan struct{})
 		var tick sync.WaitGroup
 		if ctl != nil {
+			ticking := make(chan struct{})
 			tick.Add(1)
 			go func() {
 				defer tick.Done()
@@ -46,11 +47,18 @@ func TestControllerSteadyLightLoadEquivalence(t *testing.T) {
 						return
 					default:
 						ctl.Tick(now)
+						if now == 1 {
+							close(ticking)
+						}
 						now++
 						time.Sleep(200 * time.Microsecond)
 					}
 				}
 			}()
+			// Drive the traffic only once the controller ticks: the
+			// whole trace can finish before a busy host first schedules
+			// the ticker, which left Ticks at 0.
+			<-ticking
 		}
 
 		now := make([]float64, n)

@@ -654,11 +654,16 @@ func TestFlightlogEndpoint(t *testing.T) {
 	fl := flightlog.New(64)
 	tailCtx, cancelTail := context.WithCancel(bg)
 	done := make(chan struct{})
+	// Submit only once the tail is subscribed: a watch sees only events
+	// published after it starts, and a busy host can run the submit
+	// first, leaving the ring without its event records.
+	subscribed := &watchStarted{WatchService: f.Service(), started: make(chan struct{})}
 	go func() {
 		defer close(done)
-		flightlog.Tail(tailCtx, fl, f.Service())
+		flightlog.Tail(tailCtx, fl, subscribed)
 	}()
 	defer func() { cancelTail(); <-done }()
+	<-subscribed.started
 
 	ts := httptest.NewServer(mustServer(t, f.Service(), httpapi.ServerOptions{FlightLog: fl}))
 	defer ts.Close()
@@ -831,6 +836,18 @@ func TestQuotaRefusalSurfacing(t *testing.T) {
 }
 
 // waitFor polls cond for up to two seconds.
+// watchStarted closes started once its Watch call has subscribed.
+type watchStarted struct {
+	api.WatchService
+	started chan struct{}
+}
+
+func (w *watchStarted) Watch(ctx context.Context, req api.WatchRequest) (<-chan api.Event, error) {
+	ch, err := w.WatchService.Watch(ctx, req)
+	close(w.started)
+	return ch, err
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
