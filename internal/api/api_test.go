@@ -98,3 +98,31 @@ func TestStatsDeterministic(t *testing.T) {
 		t.Errorf("deterministic fields altered: %+v", d)
 	}
 }
+
+// TestStatsDeterministicLiteral pins the exact Deterministic() view of
+// a result with every field set to a distinct non-zero value: which
+// fields survive and which are zeroed.
+func TestStatsDeterministicLiteral(t *testing.T) {
+	full := StatsResult{
+		Devices: 1, Shards: 2, Submitted: 3, Accepted: 4, Rejected: 5,
+		Completed: 6, DeadlineMisses: 7, Cancelled: 8, Energy: 9.5,
+		Activations: 10, SchedulingTime: 11 * time.Millisecond,
+		CacheHits: 12, CacheMisses: 13, CacheStale: 14, CacheEvictions: 15, CacheRepacks: 16,
+		CacheSharedHits: 17, CachePromotions: 18, ScheduleSwaps: 19,
+		RefineSearches: 20, RefineImproved: 21, RefineSkipped: 22, RefineDropped: 23,
+		MaxQueueDepth: 24, CoalescedBatches: 25, CoalescedRequests: 26,
+		WatchSubscribers: 27, WatchDropped: 28,
+		QuotaBudgetRefusals: 29, QuotaRateRefusals: 30,
+		ControlMode: "shedding", Shed: 31, ControlTicks: 32, ControlModeChanges: 33,
+	}
+	want := StatsResult{
+		Devices: 1, Submitted: 3, Accepted: 4, Rejected: 5,
+		Completed: 6, DeadlineMisses: 7, Cancelled: 8, Energy: 9.5, Activations: 10,
+		CacheHits: 12, CacheMisses: 13, CacheStale: 14, CacheEvictions: 15, CacheRepacks: 16,
+		CacheSharedHits: 17, CachePromotions: 18, ScheduleSwaps: 19,
+		CoalescedBatches: 25, CoalescedRequests: 26,
+	}
+	if got := full.Deterministic(); got != want {
+		t.Errorf("Deterministic():\n got %+v\nwant %+v", got, want)
+	}
+}

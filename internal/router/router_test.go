@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"adaptrm/internal/api"
 	"adaptrm/internal/core"
@@ -712,5 +713,86 @@ func TestRouterMergesControlMode(t *testing.T) {
 	if res.Shed != 7 || res.ControlTicks != 19 || res.ControlModeChanges != 2 {
 		t.Errorf("merged control counters: shed %d ticks %d changes %d, want 7/19/2",
 			res.Shed, res.ControlTicks, res.ControlModeChanges)
+	}
+}
+
+// TestMergeStats pins the fleet-wide merge rule of every stats field:
+// Devices and MaxQueueDepth take the maximum, ControlMode the worst
+// tier, everything else sums in backend order.
+func TestMergeStats(t *testing.T) {
+	merged := func(in ...api.StatsResult) api.StatsResult {
+		t.Helper()
+		backends := make([]router.Backend, len(in))
+		for i, res := range in {
+			backends[i] = router.Backend{Name: fmt.Sprintf("n%d", i), Service: statsService{res: res}}
+		}
+		res, err := mustRouter(t, backends, placement.Modulo(len(in))).Stats(bg, api.StatsRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	got := merged(
+		api.StatsResult{
+			Devices: 4, Shards: 2, Submitted: 10, Accepted: 7, Rejected: 3,
+			Completed: 5, DeadlineMisses: 1, Cancelled: 2, Energy: 1.5,
+			Activations: 9, SchedulingTime: 2 * time.Millisecond,
+			CacheHits: 11, CacheMisses: 12, CacheStale: 13, CacheEvictions: 14, CacheRepacks: 15,
+			CacheSharedHits: 16, CachePromotions: 17, ScheduleSwaps: 18,
+			RefineSearches: 19, RefineImproved: 20, RefineSkipped: 21, RefineDropped: 22,
+			MaxQueueDepth: 3, CoalescedBatches: 23, CoalescedRequests: 24,
+			WatchSubscribers: 25, WatchDropped: 26,
+			QuotaBudgetRefusals: 27, QuotaRateRefusals: 28,
+			ControlMode: "heuristic_only", Shed: 29, ControlTicks: 30, ControlModeChanges: 31,
+		},
+		api.StatsResult{
+			Devices: 3, Shards: 1, Submitted: 5, Accepted: 5, Rejected: 0,
+			Completed: 4, DeadlineMisses: 0, Cancelled: 1, Energy: 0.25,
+			Activations: 4, SchedulingTime: time.Millisecond,
+			CacheHits: 1, CacheMisses: 2, CacheStale: 3, CacheEvictions: 4, CacheRepacks: 5,
+			CacheSharedHits: 6, CachePromotions: 7, ScheduleSwaps: 8,
+			RefineSearches: 9, RefineImproved: 10, RefineSkipped: 11, RefineDropped: 12,
+			MaxQueueDepth: 7, CoalescedBatches: 13, CoalescedRequests: 14,
+			WatchSubscribers: 15, WatchDropped: 16,
+			QuotaBudgetRefusals: 17, QuotaRateRefusals: 18,
+			ControlMode: "normal", Shed: 19, ControlTicks: 20, ControlModeChanges: 21,
+		},
+	)
+	want := api.StatsResult{
+		Devices: 4, Shards: 3, Submitted: 15, Accepted: 12, Rejected: 3,
+		Completed: 9, DeadlineMisses: 1, Cancelled: 3, Energy: 1.75,
+		Activations: 13, SchedulingTime: 3 * time.Millisecond,
+		CacheHits: 12, CacheMisses: 14, CacheStale: 16, CacheEvictions: 18, CacheRepacks: 20,
+		CacheSharedHits: 22, CachePromotions: 24, ScheduleSwaps: 26,
+		RefineSearches: 28, RefineImproved: 30, RefineSkipped: 32, RefineDropped: 34,
+		MaxQueueDepth: 7, CoalescedBatches: 36, CoalescedRequests: 38,
+		WatchSubscribers: 40, WatchDropped: 42,
+		QuotaBudgetRefusals: 44, QuotaRateRefusals: 46,
+		ControlMode: "heuristic_only", Shed: 48, ControlTicks: 50, ControlModeChanges: 52,
+	}
+	if got != want {
+		t.Errorf("merge:\ngot  %+v\nwant %+v", got, want)
+	}
+
+	// Worst mode: an unparsable mode is ignored wherever it appears, and
+	// backends without a controller do not reset the tier.
+	for _, c := range []struct {
+		modes []string
+		want  string
+	}{
+		{[]string{"normal", "bogus", "heuristic_only"}, "heuristic_only"},
+		{[]string{"bogus", "normal"}, "normal"},
+		{[]string{"shedding", "", "bogus", "normal"}, "shedding"},
+		{[]string{"bogus", ""}, ""},
+		{[]string{"", ""}, ""},
+	} {
+		in := make([]api.StatsResult, len(c.modes))
+		for i, m := range c.modes {
+			in[i] = api.StatsResult{Devices: 1, ControlMode: m}
+		}
+		if got := merged(in...).ControlMode; got != c.want {
+			t.Errorf("worst mode of %q = %q, want %q", c.modes, got, c.want)
+		}
 	}
 }
