@@ -85,8 +85,6 @@ type (
 	FleetDevice = fleet.DeviceConfig
 	// FleetOptions tunes the fleet front-end (shards, mailboxes, cache).
 	FleetOptions = fleet.Options
-	// FleetStats aggregates fleet-wide activity.
-	FleetStats = fleet.Stats
 	// FleetRequest is one arrival of a multi-tenant fleet trace.
 	FleetRequest = workload.FleetRequest
 	// FleetTraceParams tunes multi-tenant fleet trace generation.
@@ -177,8 +175,9 @@ type (
 	CancelResult = api.CancelResult
 	// StatsRequest fetches fleet-wide or per-device statistics.
 	StatsRequest = api.StatsRequest
-	// StatsResult aggregates service activity; Deterministic() strips
-	// the wall-clock fields for cross-transport comparison.
+	// StatsResult aggregates service activity (Fleet.Stats returns it
+	// too); Deterministic() strips the operational fields for
+	// cross-transport comparison.
 	StatsResult = api.StatsResult
 	// ServiceCompletion reports one finished job on the wire (the
 	// protocol form of Completion).

@@ -421,7 +421,7 @@ func benchFleet(b *testing.B, shards int, cache bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var last fleet.Stats
+	var last api.StatsResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		devs := make([]fleet.DeviceConfig, devices)
@@ -484,7 +484,7 @@ func benchFleetBursty(b *testing.B, window float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var last fleet.Stats
+	var last api.StatsResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		devs := make([]fleet.DeviceConfig, devices)
@@ -561,7 +561,7 @@ func benchFleetAnytime(b *testing.B, warm, refine bool) {
 		}
 	}
 	lat := make([]time.Duration, 0, len(trace)*b.N)
-	var last fleet.Stats
+	var last api.StatsResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := newFleet(shared, refine, 2)
@@ -587,7 +587,7 @@ func benchFleetAnytime(b *testing.B, warm, refine bool) {
 	b.ReportMetric(float64(lat[len(lat)*99/100].Nanoseconds())/1e3, "p99-µs")
 	b.ReportMetric(last.Energy, "J")
 	b.ReportMetric(float64(last.CacheSharedHits), "shared-hits")
-	b.ReportMetric(float64(last.Swaps), "swaps")
+	b.ReportMetric(float64(last.ScheduleSwaps), "swaps")
 }
 
 func BenchmarkFleetAnytimeWarm(b *testing.B) { benchFleetAnytime(b, true, true) }

@@ -684,9 +684,9 @@ func report(f *fleet.Fleet, wall time.Duration, cache, verbose, daemon bool, dev
 		fmt.Printf("shared tier:     %d entries (%d exact), %d hits, %d promotions (%d merge-dropped)\n",
 			ss.Entries, ss.ExactEntries, s.CacheSharedHits, s.CachePromotions, ss.PromotionsDropped)
 	}
-	if s.RefineSearches > 0 || s.Swaps > 0 {
+	if s.RefineSearches > 0 || s.ScheduleSwaps > 0 {
 		fmt.Printf("refinement:      %d searches, %d improved, %d swaps applied, %d skipped, %d dropped\n",
-			s.RefineSearches, s.RefineImproved, s.Swaps, s.RefineSkipped, s.RefineDropped)
+			s.RefineSearches, s.RefineImproved, s.ScheduleSwaps, s.RefineSkipped, s.RefineDropped)
 	}
 	if s.ControlMode != "" {
 		fmt.Printf("control:         mode %s, %d ticks, %d mode changes, %d shed\n",

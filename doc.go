@@ -202,6 +202,7 @@
 //     the values /v1/stats reports — an equivalence test pins them
 //     byte-identical — and recording costs the serving path zero
 //     allocations (internal/metrics, gated in CI).
+
 //   - GET /healthz answers {"status":"ok","devices":N,"uptime_s":...}
 //     for liveness probes; both routes are scrape-friendly and
 //     unauthenticated even on a tenanted daemon.
@@ -216,6 +217,15 @@
 //   - GET /debug/pprof/ serves the runtime profiles, but only with
 //     -pprof-token set and presented (Authorization bearer or
 //     ?token=); profiling stays unreachable by default.
+//
+// Statistics have one schema. StatsResult is the only stats type —
+// Fleet.Stats, /v1/stats and the router all return it — and
+// api.StatsSchema gives each of its fields one row: determinism class,
+// fleet-wide merge rule (sum, max or worst controller mode) and
+// /metrics family. Deterministic(), the router's merge and the
+// /metrics service counters are loops over that table, so adding a
+// statistic means one StatsResult field plus one table row, and the
+// code that fills it.
 //
 // cmd/rmsoak is the matching load harness: an open-loop soak of a live
 // daemon driving the same seeded traces the replay mode uses, with

@@ -1,6 +1,8 @@
 package durable
 
 import (
+	"io"
+	"strconv"
 	"time"
 
 	"adaptrm/internal/metrics"
@@ -60,12 +62,6 @@ type Status struct {
 	Devices []DeviceStatus `json:"devices"`
 }
 
-// StatusSource is what the HTTP front-end and the flightlog dump need
-// from the WAL; *Writer implements it.
-type StatusSource interface {
-	WALStatus() Status
-}
-
 // Status reports the writer's current position; see Status's fields.
 func (w *Writer) Status() Status {
 	s := Status{
@@ -101,5 +97,49 @@ func (w *Writer) Status() Status {
 	return s
 }
 
-// WALStatus implements StatusSource.
-func (w *Writer) WALStatus() Status { return w.Status() }
+// WriteMetrics appends the writer's /metrics families to a Prometheus
+// text scrape: whether this process recovered prior state and how
+// much, the cumulative append, fsync, snapshot and rescue counters with
+// the fsync latency distribution, and the per-device positions — last
+// appended sequence, newest snapshot sequence, segment-file count.
+// Compare adaptrm_wal_last_seq against adaptrm_device_event_seq to see
+// how far persistence trails the fleet.
+func (w *Writer) WriteMetrics(out io.Writer) error {
+	ws := w.Status()
+	e := metrics.NewEmitter(out)
+	recovered := int64(0)
+	if ws.Recovered {
+		recovered = 1
+	}
+	e.Family("adaptrm_wal_recovered", "1 when this process recovered state from the data dir.", "gauge")
+	e.Int("adaptrm_wal_recovered", recovered)
+	e.Family("adaptrm_wal_recovered_events", "Log-tail events replayed at startup.", "gauge")
+	e.Int("adaptrm_wal_recovered_events", int64(ws.RecoveredEvents))
+	e.Family("adaptrm_wal_recovered_snapshots", "Devices recovered from a snapshot at startup.", "gauge")
+	e.Int("adaptrm_wal_recovered_snapshots", int64(ws.RecoveredSnapshots))
+	e.Family("adaptrm_wal_truncated_bytes", "Torn-tail bytes physically removed at startup.", "gauge")
+	e.Int("adaptrm_wal_truncated_bytes", ws.TruncatedBytes)
+	e.Family("adaptrm_wal_appended_total", "Events appended to the log since start.", "counter")
+	e.Int("adaptrm_wal_appended_total", ws.Appended)
+	e.Family("adaptrm_wal_fsync_total", "Segment fsync calls since start.", "counter")
+	e.Int("adaptrm_wal_fsync_total", ws.Fsyncs)
+	e.Family("adaptrm_wal_snapshots_total", "Snapshots written since start.", "counter")
+	e.Int("adaptrm_wal_snapshots_total", ws.Snapshots)
+	e.Family("adaptrm_wal_rescues_total", "Lag rescues (watch overruns absorbed by a snapshot) since start.", "counter")
+	e.Int("adaptrm_wal_rescues_total", ws.Rescues)
+	e.Family("adaptrm_wal_last_seq", "Last event sequence appended to the log per device.", "gauge")
+	for _, d := range ws.Devices {
+		e.Int("adaptrm_wal_last_seq", int64(d.LastSeq), metrics.L("device", strconv.Itoa(d.Device)))
+	}
+	e.Family("adaptrm_wal_snapshot_seq", "Newest on-disk snapshot sequence per device.", "gauge")
+	for _, d := range ws.Devices {
+		e.Int("adaptrm_wal_snapshot_seq", int64(d.SnapshotSeq), metrics.L("device", strconv.Itoa(d.Device)))
+	}
+	e.Family("adaptrm_wal_segments", "Segment files on disk per device.", "gauge")
+	for _, d := range ws.Devices {
+		e.Int("adaptrm_wal_segments", int64(d.Segments), metrics.L("device", strconv.Itoa(d.Device)))
+	}
+	e.Family("adaptrm_wal_fsync_seconds", "Segment fsync latency.", "histogram")
+	e.Histogram("adaptrm_wal_fsync_seconds", ws.FsyncLatency)
+	return e.Err()
+}

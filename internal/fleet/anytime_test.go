@@ -62,7 +62,7 @@ func TestFleetAnytimeSwapDeterministic(t *testing.T) {
 	type outcome struct {
 		Energy  float64
 		Swapped int
-		Stats   Stats
+		Stats   api.StatsResult
 		Events  []api.EventType
 	}
 	run := func() outcome {
@@ -119,7 +119,7 @@ func TestFleetAnytimeSwapDeterministic(t *testing.T) {
 	if math.Abs(first.Energy-13.4) > 1e-6 {
 		t.Errorf("energy = %v, want 13.4 (exact optimum; MDF alone gives 14)", first.Energy)
 	}
-	if first.Stats.RefineSearches != 2 || first.Stats.RefineImproved != 1 || first.Stats.Swaps != 1 {
+	if first.Stats.RefineSearches != 2 || first.Stats.RefineImproved != 1 || first.Stats.ScheduleSwaps != 1 {
 		t.Errorf("refine counters: %+v", first.Stats)
 	}
 	swaps := 0
@@ -210,7 +210,7 @@ func TestFleetAnytimeWarmServesExact(t *testing.T) {
 // aggregate statistics.
 func TestFleetRefinePassiveEquivalence(t *testing.T) {
 	const n, seed, ops = 3, 77, 120
-	run := func(opt Options) ([]deviceState, [][]api.Event, Stats) {
+	run := func(opt Options) ([]deviceState, [][]api.Event, api.StatsResult) {
 		f := newTestFleet(t, n, opt)
 		ch, err := f.Service().Watch(ctxBG, api.WatchRequest{Buffer: 1 << 14})
 		if err != nil {

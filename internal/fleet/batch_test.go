@@ -15,7 +15,7 @@ import (
 // stripOpportunistic removes, on top of the wall-clock fields, the
 // counters that legitimately vary with batch formation: activation
 // counts and the coalescing tallies.
-func stripOpportunistic(s Stats) Stats {
+func stripOpportunistic(s api.StatsResult) api.StatsResult {
 	s = deterministic(s)
 	s.Activations = 0
 	s.CoalescedBatches = 0
@@ -303,7 +303,7 @@ func TestBatchedMatchesUnbatchedOnBurstyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(opt Options) Stats {
+	run := func(opt Options) api.StatsResult {
 		f := newTestFleet(t, devices, opt)
 		if err := f.Replay(trace); err != nil {
 			t.Fatal(err)

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"adaptrm/internal/anytime"
 	"adaptrm/internal/api"
@@ -69,7 +68,7 @@ type Options struct {
 	// multi-node router) must return owners in [0, Owners()) and
 	// defines the shard count via Owners().
 	Placement placement.Placement
-	// MailboxSize is the per-shard request buffer; Submit blocks when
+	// MailboxSize is the per-shard request buffer; a submit blocks when
 	// the target shard's mailbox is full (backpressure). Zero means 64.
 	MailboxSize int
 	// Manager configures every device's runtime manager.
@@ -161,97 +160,6 @@ func (o *Options) normalize() {
 	}
 }
 
-// Stats aggregates fleet-wide activity. All counters except
-// SchedulingTime, MaxQueueDepth and the Coalesced pair are
-// deterministic for a given per-device request order — with one caveat:
-// once Options.BatchWindow enables coalescing, Activations also becomes
-// opportunistic (how many submits share an activation depends on queue
-// timing). The admission and energy counters stay deterministic as
-// long as coalesced arrivals are exactly coincident — batched
-// admission is behaviour-preserving for that shape (the bursty-trace
-// default). Arrivals merely near each other inside the window are
-// re-stamped at the batch's latest arrival when they happen to
-// coalesce, so with spread arrivals the admission counters inherit the
-// opportunism too.
-type Stats struct {
-	// Devices is the fleet size, Shards the worker count.
-	Devices, Shards int
-	// Submitted counts all requests, Accepted and Rejected its split.
-	Submitted, Accepted, Rejected int
-	// Completed counts finished jobs, DeadlineMisses the violations.
-	Completed, DeadlineMisses int
-	// Cancelled counts jobs aborted while active; with Completed and the
-	// live set it closes the admission ledger (accepted = completed +
-	// cancelled + active).
-	Cancelled int
-	// Energy is the total energy of all executed schedule fractions (J).
-	Energy float64
-	// Activations counts scheduler invocations fleet-wide (cache hits
-	// included — a hit is still a manager activation), SchedulingTime
-	// their cumulative wall time.
-	Activations    int
-	SchedulingTime time.Duration
-	// CacheHits/CacheMisses/CacheStale/CacheEvictions/CacheRepacks sum
-	// the per-device schedule-cache counters (zero when caching is off).
-	CacheHits, CacheMisses, CacheStale, CacheEvictions, CacheRepacks int
-	// CacheSharedHits sums lookups served from the fleet-wide shared
-	// tier after missing the device-local L1, and CachePromotions the
-	// entries device caches offered to the shared tier that won its
-	// deterministic merge. Both zero without Options.SharedCache.
-	CacheSharedHits, CachePromotions int
-	// Swaps counts accepted anytime-refinement schedule swaps
-	// (rm.Stats.Swapped summed fleet-wide). Deterministic only when
-	// refinement is driven deterministically; with background workers
-	// the count depends on search/traffic interleaving.
-	Swaps int
-	// RefineSearches/RefineImproved/RefineSkipped/RefineDropped mirror
-	// the refinement pool's counters (operational; zero without
-	// Options.Refine): exact searches run, searches that beat their
-	// incumbent, tasks skipped because the shared tier already held an
-	// exact result, and offers dropped on a full queue.
-	RefineSearches, RefineImproved, RefineSkipped, RefineDropped int
-	// MaxQueueDepth is the high-water mark of pending requests over all
-	// shard mailboxes (operational, not deterministic).
-	MaxQueueDepth int
-	// CoalescedBatches counts multi-request batches the workers formed
-	// (worker-side coalescing plus explicit SubmitBatch calls), and
-	// CoalescedRequests the submits that rode in them. Like
-	// MaxQueueDepth they are operational: coalescing is opportunistic,
-	// so the split between batched and individual submits — and with it
-	// Activations — depends on queue timing once BatchWindow is set.
-	CoalescedBatches, CoalescedRequests int
-	// WatchSubscribers gauges the open watch subscriptions and
-	// WatchDropped counts events discarded from slow subscribers'
-	// bounded rings (surfaced in-stream as EventLagged markers). Both
-	// are operational.
-	WatchSubscribers, WatchDropped int
-	// ControlMode names the degradation controller's current mode
-	// (empty without Options.Control), Shed the admission requests it
-	// rejected early with ErrOverloaded before any scheduler activation
-	// was spent, and ControlTicks / ControlModeChanges its decision
-	// counters. All operational: the controller is driven by wall-clock
-	// ticks against live queue depths.
-	ControlMode                    string
-	Shed                           int
-	ControlTicks, ControlModeChanges int
-}
-
-// AcceptRate returns Accepted / Submitted, or 0 when idle.
-func (s Stats) AcceptRate() float64 {
-	if s.Submitted == 0 {
-		return 0
-	}
-	return float64(s.Accepted) / float64(s.Submitted)
-}
-
-// CacheHitRate returns CacheHits / (CacheHits + CacheMisses), or 0.
-func (s Stats) CacheHitRate() float64 {
-	if s.CacheHits+s.CacheMisses == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
-}
-
 // device is one managed board plus its synchronisation: the mutex
 // serialises the owning shard worker against Stats snapshots.
 type device struct {
@@ -336,9 +244,7 @@ type shard struct {
 
 // Internal sentinels distinguishing why an operation never landed, so
 // the Service layer can map them onto the api taxonomy. (Replay and the
-// snapshot accessors keep the historical messages; the deprecated
-// Submit/Advance wrappers route through Service and return its
-// api-wrapped errors.)
+// snapshot accessors keep the historical messages.)
 var (
 	errClosed     = errors.New("fleet: closed")
 	errOutOfRange = errors.New("out of range")
@@ -778,36 +684,6 @@ func (f *Fleet) post(ctx context.Context, dev int, o op) error {
 	return f.shardOf(dev).enqueue(ctx, o)
 }
 
-// Submit submits a request for a device — at virtual time at, the named
-// application with the given absolute deadline — and waits for the
-// decision, discarding it. Requests for one device must be submitted in
-// non-decreasing virtual-time order (its clock never runs backwards);
-// requests for different devices are independent.
-//
-// Deprecated: thin wrapper over [Service.Submit], which additionally
-// returns the job id, the admission verdict and the completions.
-// Rejections (api.ErrInfeasible) are swallowed here for backward
-// compatibility; every other error is returned.
-func (f *Fleet) Submit(dev int, at float64, app string, deadline float64) error {
-	_, err := f.Service().Submit(context.Background(),
-		api.SubmitRequest{Device: dev, At: at, App: app, Deadline: deadline})
-	if errors.Is(err, api.ErrInfeasible) {
-		return nil
-	}
-	return err
-}
-
-// Advance moves a device's virtual clock to time to, accounting
-// progress and energy along its current schedule, and waits for it to
-// take effect.
-//
-// Deprecated: thin wrapper over [Service.Advance], which additionally
-// returns the completions the advance produced.
-func (f *Fleet) Advance(dev int, to float64) error {
-	_, err := f.Service().Advance(context.Background(), api.AdvanceRequest{Device: dev, To: to})
-	return err
-}
-
 // Cancel aborts an active job on a device, reclaiming its resources for
 // the remaining jobs (the device re-plans them immediately). It waits
 // for the cancellation to take effect; see [Service.Cancel] for the
@@ -819,7 +695,7 @@ func (f *Fleet) Cancel(dev, jobID int) error {
 
 // Replay submits a merged fleet trace (e.g. workload.FleetTrace output,
 // already sorted per device) and returns on the first addressing error.
-// Unlike Submit it stays fire-and-forget — requests are enqueued without
+// Unlike Service.Submit it is fire-and-forget — requests are enqueued without
 // waiting for decisions, pipelining the shard workers — so per-request
 // manager errors surface at Close, not here.
 func (f *Fleet) Replay(trace []workload.FleetRequest) error {
@@ -876,37 +752,30 @@ func (f *Fleet) Close() error {
 	return errors.Join(errs...)
 }
 
-// Stats aggregates per-device statistics in device order. It may be
-// called while traffic is flowing (each device is snapshotted under its
-// lock) or after Close for final figures.
-func (f *Fleet) Stats() Stats {
-	out := Stats{Devices: len(f.devices), Shards: len(f.shards)}
-	for _, d := range f.devices {
+// Stats aggregates per-device statistics in device order: the
+// per-device manager and cache counters merge under the api.StatsSchema
+// rules, then the fleet-level gauges and counters are filled in. It
+// may be called while traffic is flowing (each device is snapshotted
+// under its lock) or after Close for final figures. Once
+// Options.BatchWindow enables coalescing, Activations becomes
+// opportunistic, and so do the admission and energy counters when
+// arrivals inside the window are not exactly coincident (they are
+// re-stamped at the batch's latest arrival).
+func (f *Fleet) Stats() api.StatsResult {
+	per := make([]api.StatsResult, len(f.devices))
+	for i, d := range f.devices {
 		d.mu.Lock()
-		ms := d.mgr.Stats()
-		var cs schedcache.Stats
+		per[i] = deviceResult(d.mgr.Stats())
 		if d.cache != nil {
-			cs = d.cache.Stats()
+			cs := d.cache.Stats()
+			per[i].CacheHits, per[i].CacheMisses, per[i].CacheStale = cs.Hits, cs.Misses, cs.Stale
+			per[i].CacheEvictions, per[i].CacheRepacks = cs.Evictions, cs.Repacks
+			per[i].CacheSharedHits, per[i].CachePromotions = cs.SharedHits, cs.Promotions
 		}
 		d.mu.Unlock()
-		out.Submitted += ms.Submitted
-		out.Accepted += ms.Accepted
-		out.Rejected += ms.Rejected
-		out.Completed += ms.Completed
-		out.DeadlineMisses += ms.DeadlineMisses
-		out.Cancelled += ms.Cancelled
-		out.Energy += ms.Energy
-		out.Activations += ms.Activations
-		out.SchedulingTime += ms.SchedulingTime
-		out.CacheHits += cs.Hits
-		out.CacheMisses += cs.Misses
-		out.CacheStale += cs.Stale
-		out.CacheEvictions += cs.Evictions
-		out.CacheRepacks += cs.Repacks
-		out.CacheSharedHits += cs.SharedHits
-		out.CachePromotions += cs.Promotions
-		out.Swaps += ms.Swapped
 	}
+	out := api.MergeStats(per)
+	out.Devices, out.Shards = len(f.devices), len(f.shards)
 	if f.refiner != nil {
 		rs := f.refiner.Stats()
 		out.RefineSearches = int(rs.Searches)
@@ -915,9 +784,7 @@ func (f *Fleet) Stats() Stats {
 		out.RefineDropped = int(rs.Dropped)
 	}
 	for _, sh := range f.shards {
-		if m := int(sh.maxDepth.Load()); m > out.MaxQueueDepth {
-			out.MaxQueueDepth = m
-		}
+		out.MaxQueueDepth = max(out.MaxQueueDepth, int(sh.maxDepth.Load()))
 		out.CoalescedBatches += int(sh.batches.Load())
 		out.CoalescedRequests += int(sh.batched.Load())
 	}

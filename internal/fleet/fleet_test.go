@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
+	"adaptrm/internal/api"
 	"adaptrm/internal/core"
 	"adaptrm/internal/motiv"
 	"adaptrm/internal/workload"
@@ -28,9 +30,26 @@ func newTestFleet(t *testing.T, n int, opt Options) *Fleet {
 	return f
 }
 
+// submit asks the service to admit one request and waits for the
+// decision. A rejection (api.ErrInfeasible) is a normal outcome here,
+// not an error.
+func submit(f *Fleet, dev int, at float64, app string, deadline float64) error {
+	_, err := f.Service().Submit(ctxBG, api.SubmitRequest{Device: dev, At: at, App: app, Deadline: deadline})
+	if errors.Is(err, api.ErrInfeasible) {
+		return nil
+	}
+	return err
+}
+
+// advance moves a device's clock through the service.
+func advance(f *Fleet, dev int, to float64) error {
+	_, err := f.Service().Advance(ctxBG, api.AdvanceRequest{Device: dev, To: to})
+	return err
+}
+
 // deterministic strips the wall-clock fields so per-seed runs compare
 // equal.
-func deterministic(s Stats) Stats {
+func deterministic(s api.StatsResult) api.StatsResult {
 	s.SchedulingTime = 0
 	s.MaxQueueDepth = 0
 	s.Shards = 0
@@ -45,11 +64,11 @@ func TestFleetValidation(t *testing.T) {
 		t.Error("nil scheduler accepted")
 	}
 	f := newTestFleet(t, 2, Options{})
-	if err := f.Submit(5, 0, "lambda1", 9); err == nil {
-		t.Error("out-of-range device accepted")
+	if err := submit(f, 5, 0, "lambda1", 9); !errors.Is(err, api.ErrUnknownDevice) {
+		t.Errorf("out-of-range device: %v, want ErrUnknownDevice", err)
 	}
-	if err := f.Advance(-1, 3); err == nil {
-		t.Error("negative device accepted")
+	if err := advance(f, -1, 3); !errors.Is(err, api.ErrUnknownDevice) {
+		t.Errorf("negative device: %v, want ErrUnknownDevice", err)
 	}
 	if _, err := f.DeviceStats(7); err == nil {
 		t.Error("out-of-range DeviceStats accepted")
@@ -57,8 +76,8 @@ func TestFleetValidation(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Submit(0, 0, "lambda1", 9); err == nil {
-		t.Error("submit after close accepted")
+	if err := submit(f, 0, 0, "lambda1", 9); !errors.Is(err, api.ErrClosed) {
+		t.Errorf("submit after close: %v, want ErrClosed", err)
 	}
 	if err := f.Close(); err == nil {
 		t.Error("double close accepted")
@@ -72,10 +91,10 @@ func TestFleetMatchesSequentialManager(t *testing.T) {
 	const n = 5
 	f := newTestFleet(t, n, Options{Shards: 2, MailboxSize: 4})
 	for d := 0; d < n; d++ {
-		if err := f.Submit(d, 0, "lambda1", 9); err != nil {
+		if err := submit(f, d, 0, "lambda1", 9); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Submit(d, 1, "lambda2", 5); err != nil {
+		if err := submit(f, d, 1, "lambda2", 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,10 +128,10 @@ func TestFleetMatchesSequentialManager(t *testing.T) {
 
 func TestFleetAdvanceMovesClock(t *testing.T) {
 	f := newTestFleet(t, 1, Options{})
-	if err := f.Submit(0, 0, "lambda1", 9); err != nil {
+	if err := submit(f, 0, 0, "lambda1", 9); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Advance(0, 3); err != nil {
+	if err := advance(f, 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -130,7 +149,7 @@ func TestFleetAdvanceMovesClock(t *testing.T) {
 // runFleetTrace replays a generated multi-tenant trace from g goroutines
 // (each owning a disjoint set of devices, preserving per-device order)
 // and returns the final deterministic stats.
-func runFleetTrace(t *testing.T, devices, goroutines int, opt Options, seed int64) Stats {
+func runFleetTrace(t *testing.T, devices, goroutines int, opt Options, seed int64) api.StatsResult {
 	t.Helper()
 	trace, err := workload.FleetTrace(motiv.Library(), workload.FleetTraceParams{
 		Devices: devices, Rate: 0.25, RateSpread: 0.6, Horizon: 60, Seed: seed,
@@ -150,7 +169,7 @@ func runFleetTrace(t *testing.T, devices, goroutines int, opt Options, seed int6
 			defer wg.Done()
 			for d := g; d < devices; d += goroutines {
 				for _, r := range streams[d] {
-					if err := f.Submit(r.Device, r.At, r.App, r.Deadline); err != nil {
+					if err := submit(f, r.Device, r.At, r.App, r.Deadline); err != nil {
 						t.Error(err)
 						return
 					}
@@ -229,7 +248,7 @@ func lowUtilTrace(t *testing.T, devices int, seed int64) [][]workload.FleetReque
 }
 
 // runStreams replays pre-split per-device streams from g goroutines.
-func runStreams(t *testing.T, streams [][]workload.FleetRequest, goroutines int, opt Options) Stats {
+func runStreams(t *testing.T, streams [][]workload.FleetRequest, goroutines int, opt Options) api.StatsResult {
 	t.Helper()
 	devices := len(streams)
 	f := newTestFleet(t, devices, opt)
@@ -240,7 +259,7 @@ func runStreams(t *testing.T, streams [][]workload.FleetRequest, goroutines int,
 			defer wg.Done()
 			for d := g; d < devices; d += goroutines {
 				for _, r := range streams[d] {
-					if err := f.Submit(r.Device, r.At, r.App, r.Deadline); err != nil {
+					if err := submit(f, r.Device, r.At, r.App, r.Deadline); err != nil {
 						t.Error(err)
 						return
 					}
@@ -304,7 +323,7 @@ func TestFleetSubmitCloseRace(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < 50; i++ {
-					if err := f.Submit(g, float64(i), "lambda1", float64(i)+9); err != nil {
+					if err := submit(f, g, float64(i), "lambda1", float64(i)+9); err != nil {
 						return // fleet closed underneath us — expected
 					}
 				}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"testing"
 
+	"adaptrm/internal/api"
 	"adaptrm/internal/placement"
 )
 
@@ -28,14 +29,14 @@ func TestDefaultPlacementIsModulo(t *testing.T) {
 // mailbox, never what the device computes.
 func TestCustomPlacementRoutesShards(t *testing.T) {
 	ring := placement.MustRing(placement.RingConfig{Owners: 3, Seed: 17})
-	run := func(opt Options) Stats {
+	run := func(opt Options) api.StatsResult {
 		const n = 6
 		f := newTestFleet(t, n, opt)
 		for d := 0; d < n; d++ {
-			if err := f.Submit(d, 0, "lambda1", 9); err != nil {
+			if err := submit(f, d, 0, "lambda1", 9); err != nil {
 				t.Fatal(err)
 			}
-			if err := f.Submit(d, 1, "lambda2", 5); err != nil {
+			if err := submit(f, d, 1, "lambda2", 5); err != nil {
 				t.Fatal(err)
 			}
 		}

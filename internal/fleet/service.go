@@ -14,7 +14,7 @@ import (
 // Service is the fleet's native implementation of the transport-agnostic
 // api.Service protocol: every mailbox operation carries a reply channel,
 // so callers receive the per-request outcome — job id, admission
-// verdict, completions — instead of the fire-and-forget legacy path.
+// verdict, completions — unlike the fire-and-forget Fleet.Replay.
 // Context cancellation is honoured both while blocked on a full mailbox
 // (backpressure, api.ErrOverloaded) and while waiting for the device's
 // worker to reply.
@@ -28,8 +28,8 @@ var (
 )
 
 // Service returns the api.Service view of the fleet. The view shares
-// the fleet's shards and devices; mixing Service calls with the legacy
-// methods is safe, and per-device FIFO order spans both.
+// the fleet's shards and devices; mixing Service calls with Replay and
+// Cancel is safe, and per-device FIFO order spans both.
 func (f *Fleet) Service() *Service { return &Service{f: f} }
 
 // do posts one operation with a reply channel and waits for its
@@ -209,60 +209,31 @@ func (s *Service) Stats(ctx context.Context, req api.StatsRequest) (api.StatsRes
 	if err := ctx.Err(); err != nil {
 		return api.StatsResult{}, err
 	}
-	if req.Device != nil {
-		ds, err := s.f.DeviceStats(*req.Device)
-		if err != nil {
-			return api.StatsResult{}, fmt.Errorf("%w: %w", api.ErrUnknownDevice, err)
-		}
-		return api.StatsResult{
-			Devices:        1,
-			Submitted:      ds.Submitted,
-			Accepted:       ds.Accepted,
-			Rejected:       ds.Rejected,
-			Completed:      ds.Completed,
-			DeadlineMisses: ds.DeadlineMisses,
-			Cancelled:      ds.Cancelled,
-			Energy:         ds.Energy,
-			Activations:    ds.Activations,
-			SchedulingTime: ds.SchedulingTime,
-			ScheduleSwaps:  ds.Swapped,
-		}, nil
+	if req.Device == nil {
+		return s.f.Stats(), nil
 	}
-	fs := s.f.Stats()
+	ds, err := s.f.DeviceStats(*req.Device)
+	if err != nil {
+		return api.StatsResult{}, fmt.Errorf("%w: %w", api.ErrUnknownDevice, err)
+	}
+	return deviceResult(ds), nil
+}
+
+// deviceResult is one device's manager statistics in wire form.
+func deviceResult(ms rm.Stats) api.StatsResult {
 	return api.StatsResult{
-		Devices:           fs.Devices,
-		Shards:            fs.Shards,
-		Submitted:         fs.Submitted,
-		Accepted:          fs.Accepted,
-		Rejected:          fs.Rejected,
-		Completed:         fs.Completed,
-		DeadlineMisses:    fs.DeadlineMisses,
-		Cancelled:         fs.Cancelled,
-		Energy:            fs.Energy,
-		Activations:       fs.Activations,
-		SchedulingTime:    fs.SchedulingTime,
-		CacheHits:         fs.CacheHits,
-		CacheMisses:       fs.CacheMisses,
-		CacheStale:        fs.CacheStale,
-		CacheEvictions:    fs.CacheEvictions,
-		CacheRepacks:      fs.CacheRepacks,
-		CacheSharedHits:   fs.CacheSharedHits,
-		CachePromotions:   fs.CachePromotions,
-		ScheduleSwaps:     fs.Swaps,
-		RefineSearches:    fs.RefineSearches,
-		RefineImproved:    fs.RefineImproved,
-		RefineSkipped:     fs.RefineSkipped,
-		RefineDropped:     fs.RefineDropped,
-		MaxQueueDepth:     fs.MaxQueueDepth,
-		CoalescedBatches:  fs.CoalescedBatches,
-		CoalescedRequests: fs.CoalescedRequests,
-		WatchSubscribers:   fs.WatchSubscribers,
-		WatchDropped:       fs.WatchDropped,
-		ControlMode:        fs.ControlMode,
-		Shed:               fs.Shed,
-		ControlTicks:       fs.ControlTicks,
-		ControlModeChanges: fs.ControlModeChanges,
-	}, nil
+		Devices:        1,
+		Submitted:      ms.Submitted,
+		Accepted:       ms.Accepted,
+		Rejected:       ms.Rejected,
+		Completed:      ms.Completed,
+		DeadlineMisses: ms.DeadlineMisses,
+		Cancelled:      ms.Cancelled,
+		Energy:         ms.Energy,
+		Activations:    ms.Activations,
+		SchedulingTime: ms.SchedulingTime,
+		ScheduleSwaps:  ms.Swapped,
+	}
 }
 
 // QueueDepths exposes the per-shard mailbox depths on the service view;

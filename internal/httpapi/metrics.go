@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"adaptrm/internal/api"
-	"adaptrm/internal/control"
 	"adaptrm/internal/flightlog"
 	"adaptrm/internal/metrics"
 )
@@ -39,6 +38,14 @@ import (
 // tenanted server: they are scraped by infrastructure, not tenants,
 // and carry no per-tenant payload beyond refusal counts. Deployments
 // that must hide them put the daemon behind a filtering proxy.
+
+// MetricsWriter appends its own families to a /metrics scrape: the
+// write-ahead log through ServerOptions.WAL, and a wrapped service that
+// implements it (a router's per-peer families). Discovered by
+// interface, so this package imports neither.
+type MetricsWriter interface {
+	WriteMetrics(io.Writer) error
+}
 
 // routeMetrics is the live instrumentation of one mux route.
 type routeMetrics struct {
@@ -196,88 +203,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	e := metrics.NewEmitter(w)
 
-	e.Family("adaptrm_fleet_devices", "Devices in the fleet.", "gauge")
-	e.Int("adaptrm_fleet_devices", int64(agg.Devices))
-	e.Family("adaptrm_fleet_shards", "Shard worker goroutines.", "gauge")
-	e.Int("adaptrm_fleet_shards", int64(agg.Shards))
 	e.Family("adaptrm_uptime_seconds", "Seconds since the server was built.", "gauge")
 	e.Float("adaptrm_uptime_seconds", s.now().Sub(s.start).Seconds())
 
-	counter := func(name, help string, agg int64, per func(api.StatsResult) int64) {
-		e.Family(name, help, "counter")
-		e.Int(name, agg)
-		if per != nil {
+	// The service counters, one family per api.StatsSchema row: the
+	// unlabeled sample is the fleet-wide value, device="N" samples split
+	// it. Controller families appear only when the service reports a
+	// controller mode, so a controller-less scrape carries none.
+	for _, f := range api.StatsSchema {
+		if f.Metric == "" || f.Control && agg.ControlMode == "" {
+			continue
+		}
+		e.Family(f.Metric, f.Help, f.Kind)
+		statSample(e, f, agg)
+		if f.PerDevice {
 			for d := range devs {
-				e.Int(name, per(devs[d]), metrics.L("device", strconv.Itoa(d)))
+				statSample(e, f, devs[d], metrics.L("device", strconv.Itoa(d)))
 			}
 		}
-	}
-	// Admission and lifecycle counters, aggregate plus per device. The
-	// unlabeled sample is the fleet-wide value; device="N" samples
-	// split it.
-	counter("adaptrm_requests_submitted_total", "Admission requests received.",
-		int64(agg.Submitted), func(s api.StatsResult) int64 { return int64(s.Submitted) })
-	counter("adaptrm_requests_accepted_total", "Admission requests accepted.",
-		int64(agg.Accepted), func(s api.StatsResult) int64 { return int64(s.Accepted) })
-	counter("adaptrm_requests_rejected_total", "Admission requests rejected (no feasible schedule).",
-		int64(agg.Rejected), func(s api.StatsResult) int64 { return int64(s.Rejected) })
-	counter("adaptrm_jobs_completed_total", "Jobs run to completion.",
-		int64(agg.Completed), func(s api.StatsResult) int64 { return int64(s.Completed) })
-	counter("adaptrm_jobs_cancelled_total", "Jobs cancelled while active.",
-		int64(agg.Cancelled), func(s api.StatsResult) int64 { return int64(s.Cancelled) })
-	counter("adaptrm_jobs_deadline_misses_total", "Completed jobs that violated their deadline.",
-		int64(agg.DeadlineMisses), func(s api.StatsResult) int64 { return int64(s.DeadlineMisses) })
-
-	e.Family("adaptrm_energy_joules_total", "Energy of all executed schedule fractions.", "counter")
-	e.Float("adaptrm_energy_joules_total", agg.Energy)
-	for d := range devs {
-		e.Float("adaptrm_energy_joules_total", devs[d].Energy, metrics.L("device", strconv.Itoa(d)))
-	}
-
-	counter("adaptrm_scheduler_activations_total", "Scheduler invocations (cache hits included).",
-		int64(agg.Activations), func(s api.StatsResult) int64 { return int64(s.Activations) })
-	e.Family("adaptrm_scheduler_busy_seconds_total", "Cumulative scheduler wall time.", "counter")
-	e.Float("adaptrm_scheduler_busy_seconds_total", agg.SchedulingTime.Seconds())
-
-	counter("adaptrm_cache_hits_total", "Schedule-cache hits.", int64(agg.CacheHits), nil)
-	counter("adaptrm_cache_misses_total", "Schedule-cache misses.", int64(agg.CacheMisses), nil)
-	counter("adaptrm_cache_stale_total", "Schedule-cache entries invalidated on reuse.", int64(agg.CacheStale), nil)
-	counter("adaptrm_cache_evictions_total", "Schedule-cache LRU evictions.", int64(agg.CacheEvictions), nil)
-	counter("adaptrm_cache_repacks_total", "Schedule-cache re-pack reuses.", int64(agg.CacheRepacks), nil)
-	counter("adaptrm_cache_shared_hits_total", "Lookups served from the fleet-wide shared cache tier.",
-		int64(agg.CacheSharedHits), nil)
-	counter("adaptrm_cache_promotions_total", "Entries promoted into the shared cache tier.",
-		int64(agg.CachePromotions), nil)
-	counter("adaptrm_schedule_swaps_total", "Accepted anytime-refinement schedule swaps.",
-		int64(agg.ScheduleSwaps), func(s api.StatsResult) int64 { return int64(s.ScheduleSwaps) })
-	counter("adaptrm_refine_searches_total", "Background exact refinement searches run.",
-		int64(agg.RefineSearches), nil)
-	counter("adaptrm_refine_improved_total", "Refinement searches that beat their incumbent.",
-		int64(agg.RefineImproved), nil)
-	counter("adaptrm_refine_skipped_total", "Refinement tasks skipped (exact result already shared).",
-		int64(agg.RefineSkipped), nil)
-	counter("adaptrm_refine_dropped_total", "Refinement offers dropped on a full queue.",
-		int64(agg.RefineDropped), nil)
-	counter("adaptrm_coalesced_batches_total", "Multi-request batched activations.", int64(agg.CoalescedBatches), nil)
-	counter("adaptrm_coalesced_requests_total", "Submits decided inside a coalesced batch.", int64(agg.CoalescedRequests), nil)
-
-	e.Family("adaptrm_watch_subscribers", "Open watch subscriptions.", "gauge")
-	e.Int("adaptrm_watch_subscribers", int64(agg.WatchSubscribers))
-	counter("adaptrm_watch_dropped_total", "Events dropped from slow watch subscribers.", int64(agg.WatchDropped), nil)
-
-	// Degradation-controller families, emitted only when the service
-	// reports a controller mode — a controller-less daemon's scrape
-	// stays byte-identical to a pre-control build.
-	if agg.ControlMode != "" {
-		var mode int64
-		if m, err := control.ParseMode(agg.ControlMode); err == nil {
-			mode = int64(m)
-		}
-		e.Family("adaptrm_control_mode", "Degradation tier (0 normal, 1 heuristic-only, 2 shedding).", "gauge")
-		e.Int("adaptrm_control_mode", mode)
-		counter("adaptrm_shed_total", "Admission requests shed early with an overloaded error.", int64(agg.Shed), nil)
-		counter("adaptrm_control_ticks_total", "Degradation-controller decision ticks.", int64(agg.ControlTicks), nil)
-		counter("adaptrm_control_mode_changes_total", "Degradation-tier transitions (both directions).", int64(agg.ControlModeChanges), nil)
 	}
 
 	// Per-shard queue depth, when the wrapped service exposes it (the
@@ -296,9 +239,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			e.Int("adaptrm_device_event_seq", int64(seq), metrics.L("device", strconv.Itoa(i)))
 		}
 	}
-	s.emitWALMetrics(e)
-	e.Family("adaptrm_queue_depth_max", "High-water mark of pending requests over all shard mailboxes.", "gauge")
-	e.Int("adaptrm_queue_depth_max", int64(agg.MaxQueueDepth))
+	if s.wal != nil {
+		_ = s.wal.WriteMetrics(w)
+	}
 
 	// Per-tenant quota refusals, sorted by tenant name for a
 	// deterministic scrape.
@@ -342,58 +285,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// error classes, latency histograms) ride along on the same scrape.
 	// Discovered by interface — stdlib types only — so this package
 	// never imports the router, mirroring the QueueDepths pattern.
-	if rm, ok := s.svc.(interface{ WriteMetrics(io.Writer) error }); ok {
+	if rm, ok := s.svc.(MetricsWriter); ok {
 		_ = rm.WriteMetrics(w)
 	}
 }
 
-// emitWALMetrics exports the durable writer's position and recovery
-// figures when a WAL is attached (ServerOptions.WAL): whether this
-// process recovered prior state, how much, the cumulative append and
-// fsync counters with the fsync latency distribution, and the
-// per-device positions — last appended sequence, newest snapshot
-// sequence, segment-file count. Compare adaptrm_wal_last_seq against
-// adaptrm_device_event_seq to see how far persistence trails the
-// fleet.
-func (s *Server) emitWALMetrics(e *metrics.Emitter) {
-	if s.wal == nil {
-		return
+// statSample emits one service-counter sample of a schema row.
+func statSample(e *metrics.Emitter, f api.StatField, st api.StatsResult, labels ...metrics.Label) {
+	if v, isFloat := f.Value(st); isFloat {
+		e.Float(f.Metric, v, labels...)
+	} else {
+		e.Int(f.Metric, int64(v), labels...)
 	}
-	ws := s.wal.WALStatus()
-	recovered := int64(0)
-	if ws.Recovered {
-		recovered = 1
-	}
-	e.Family("adaptrm_wal_recovered", "1 when this process recovered state from the data dir.", "gauge")
-	e.Int("adaptrm_wal_recovered", recovered)
-	e.Family("adaptrm_wal_recovered_events", "Log-tail events replayed at startup.", "gauge")
-	e.Int("adaptrm_wal_recovered_events", int64(ws.RecoveredEvents))
-	e.Family("adaptrm_wal_recovered_snapshots", "Devices recovered from a snapshot at startup.", "gauge")
-	e.Int("adaptrm_wal_recovered_snapshots", int64(ws.RecoveredSnapshots))
-	e.Family("adaptrm_wal_truncated_bytes", "Torn-tail bytes physically removed at startup.", "gauge")
-	e.Int("adaptrm_wal_truncated_bytes", ws.TruncatedBytes)
-	e.Family("adaptrm_wal_appended_total", "Events appended to the log since start.", "counter")
-	e.Int("adaptrm_wal_appended_total", ws.Appended)
-	e.Family("adaptrm_wal_fsync_total", "Segment fsync calls since start.", "counter")
-	e.Int("adaptrm_wal_fsync_total", ws.Fsyncs)
-	e.Family("adaptrm_wal_snapshots_total", "Snapshots written since start.", "counter")
-	e.Int("adaptrm_wal_snapshots_total", ws.Snapshots)
-	e.Family("adaptrm_wal_rescues_total", "Lag rescues (watch overruns absorbed by a snapshot) since start.", "counter")
-	e.Int("adaptrm_wal_rescues_total", ws.Rescues)
-	e.Family("adaptrm_wal_last_seq", "Last event sequence appended to the log per device.", "gauge")
-	for _, d := range ws.Devices {
-		e.Int("adaptrm_wal_last_seq", int64(d.LastSeq), metrics.L("device", strconv.Itoa(d.Device)))
-	}
-	e.Family("adaptrm_wal_snapshot_seq", "Newest on-disk snapshot sequence per device.", "gauge")
-	for _, d := range ws.Devices {
-		e.Int("adaptrm_wal_snapshot_seq", int64(d.SnapshotSeq), metrics.L("device", strconv.Itoa(d.Device)))
-	}
-	e.Family("adaptrm_wal_segments", "Segment files on disk per device.", "gauge")
-	for _, d := range ws.Devices {
-		e.Int("adaptrm_wal_segments", int64(d.Segments), metrics.L("device", strconv.Itoa(d.Device)))
-	}
-	e.Family("adaptrm_wal_fsync_seconds", "Segment fsync latency.", "histogram")
-	e.Histogram("adaptrm_wal_fsync_seconds", ws.FsyncLatency)
 }
 
 // sortedTenants returns the tenant states ordered by name (ties by

@@ -70,7 +70,6 @@ import (
 	"time"
 
 	"adaptrm/internal/api"
-	"adaptrm/internal/durable"
 	"adaptrm/internal/flightlog"
 )
 
@@ -122,7 +121,7 @@ type ServerOptions struct {
 	// WAL, when non-nil, is the durable writer persisting the fleet
 	// (durable.Writer implements it); /metrics then exports the WAL
 	// position, segment counts, fsync latency and recovery figures.
-	WAL durable.StatusSource
+	WAL MetricsWriter
 }
 
 // tenantState is a Tenant plus its quota state: the spent-request
@@ -279,7 +278,7 @@ type Server struct {
 	// pprofToken are the opt-in observability hooks (see metrics.go).
 	metrics    *serverMetrics
 	flight     *flightlog.Log
-	wal        durable.StatusSource
+	wal        MetricsWriter
 	pprofToken string
 }
 

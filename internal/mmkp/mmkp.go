@@ -4,13 +4,11 @@
 // maximizing total value subject to multidimensional capacity
 // constraints.
 //
-// Three solvers are provided:
+// Two solvers are provided:
 //
 //   - SolveExact: depth-first branch-and-bound, exact on the small
 //     instances runtime management produces (≤ tens of items per group,
 //     a handful of groups).
-//   - SolveGreedy: the aggregate-resource heuristic in the spirit of
-//     Ykman-Couvreur et al., used as a fast reference point.
 //   - SolveLR: Lagrangian relaxation with a subgradient method (bounded
 //     iterations) after Wildermann et al.; it returns the multipliers
 //     that the MMKP-LR scheduler uses to cost configurations.
@@ -171,81 +169,6 @@ func (p *Problem) SolveExact() Choice {
 		return nil
 	}
 	return best
-}
-
-// aggregate returns the capacity-normalized total weight of an item,
-// the single scalar resource demand of the Ykman-Couvreur heuristic.
-func (p *Problem) aggregate(it Item) float64 {
-	a := 0.0
-	for d, w := range it.Weight {
-		if p.Capacity[d] > 0 {
-			a += w / p.Capacity[d]
-		} else if w > 0 {
-			return math.Inf(1)
-		}
-	}
-	return a
-}
-
-// SolveGreedy computes a feasible choice with the aggregate-resource
-// heuristic: start from the per-group minimum-aggregate item, then apply
-// the best value-per-aggregate upgrade until no feasible upgrade remains.
-// It returns nil when even the minimal selection is infeasible.
-func (p *Problem) SolveGreedy() Choice {
-	if err := p.Validate(); err != nil {
-		return nil
-	}
-	n := len(p.Groups)
-	cur := make(Choice, n)
-	for g, items := range p.Groups {
-		bestI, bestA := 0, math.Inf(1)
-		for i, it := range items {
-			if a := p.aggregate(it); a < bestA {
-				bestA, bestI = a, i
-			}
-		}
-		cur[g] = bestI
-	}
-	if !p.Feasible(cur) {
-		return nil
-	}
-	for {
-		type upgrade struct {
-			g, i  int
-			score float64
-			dv    float64
-		}
-		best := upgrade{g: -1}
-		for g, items := range p.Groups {
-			curIt := items[cur[g]]
-			for i, it := range items {
-				if i == cur[g] || it.Value <= curIt.Value {
-					continue
-				}
-				trial := append(Choice(nil), cur...)
-				trial[g] = i
-				if !p.Feasible(trial) {
-					continue
-				}
-				dv := it.Value - curIt.Value
-				da := p.aggregate(it) - p.aggregate(curIt)
-				score := dv
-				if da > 1e-12 {
-					score = dv / da
-				} else {
-					score = math.Inf(1) // free value
-				}
-				if best.g < 0 || score > best.score {
-					best = upgrade{g: g, i: i, score: score, dv: dv}
-				}
-			}
-		}
-		if best.g < 0 {
-			break
-		}
-		cur[best.g] = best.i
-	}
-	return cur
 }
 
 // LRResult carries the outcome of the Lagrangian relaxation.

@@ -92,24 +92,6 @@ func TestSolveExactInfeasible(t *testing.T) {
 	if c := p.SolveExact(); c != nil {
 		t.Errorf("infeasible instance solved: %v", c)
 	}
-	if c := p.SolveGreedy(); c != nil {
-		t.Errorf("greedy solved infeasible instance: %v", c)
-	}
-}
-
-func TestSolveGreedyFeasibleAndReasonable(t *testing.T) {
-	p := smallProblem()
-	c := p.SolveGreedy()
-	if c == nil {
-		t.Fatal("greedy found nothing")
-	}
-	if !p.Feasible(c) {
-		t.Fatal("greedy choice infeasible")
-	}
-	exact := p.Value(p.SolveExact())
-	if got := p.Value(c); got < 0.5*exact {
-		t.Errorf("greedy value %v too far from exact %v", got, exact)
-	}
 }
 
 func TestSolveLR(t *testing.T) {
@@ -164,8 +146,8 @@ func TestSolveLRUnconstrained(t *testing.T) {
 	}
 }
 
-// Property test: on random instances, exact ≥ greedy, exact ≥ any LR
-// feasible choice, and the LR dual upper-bounds the exact optimum.
+// Property test: on random instances, exact ≥ any LR feasible choice,
+// and the LR dual upper-bounds the exact optimum.
 func TestSolverRelationsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	gen := func() *Problem {
@@ -192,25 +174,16 @@ func TestSolverRelationsProperty(t *testing.T) {
 	f := func() bool {
 		p := gen()
 		exact := p.SolveExact()
-		greedy := p.SolveGreedy()
 		lr := p.SolveLR(50)
 		if exact == nil {
-			// If exact says infeasible, greedy cannot find a solution
+			// If exact says infeasible, no LR choice can be feasible
 			// either (it would be a counterexample).
-			return greedy == nil
+			return !lr.Feasible
 		}
 		if !p.Feasible(exact) {
 			return false
 		}
 		ev := p.Value(exact)
-		if greedy != nil {
-			if !p.Feasible(greedy) {
-				return false
-			}
-			if p.Value(greedy) > ev+1e-9 {
-				return false
-			}
-		}
 		if lr.UpperBound < ev-1e-6 {
 			return false
 		}
