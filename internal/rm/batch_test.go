@@ -373,3 +373,12 @@ func TestRescheduleOnFinishFiresOnAdvance(t *testing.T) {
 		t.Errorf("re-plan changed outcomes: %+v vs %+v", replan, plain)
 	}
 }
+
+// batchOf zips apps and deadlines into a batch request list.
+func batchOf(apps []string, deadlines []float64) []Request {
+	reqs := make([]Request, len(apps))
+	for i, app := range apps {
+		reqs[i] = Request{App: app, Deadline: deadlines[i]}
+	}
+	return reqs
+}
