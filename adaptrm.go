@@ -62,11 +62,9 @@ type (
 	ManagerOptions = rm.Options
 	// ManagerStats aggregates runtime-manager activity.
 	ManagerStats = rm.Stats
-	// Completion describes one finished job.
-	Completion = rm.Completion
-	// ManagerRequest is one admission request of a manager-level batch
-	// (application plus deadline; the arrival time is the batch's).
-	ManagerRequest = rm.Request
+	// Completion reports one finished job, from a Manager call or a
+	// Service reply alike.
+	Completion = api.Completion
 	// ManagerVerdict is the per-request outcome of Manager.SubmitBatch.
 	ManagerVerdict = rm.Verdict
 	// WorkloadCase is one static scheduling problem of the test suite.
@@ -157,7 +155,9 @@ type (
 	// BatchSubmitRequest asks a device to decide several same-time
 	// requests in one scheduler activation.
 	BatchSubmitRequest = api.BatchSubmitRequest
-	// BatchItem is one request of a batch (application plus deadline).
+	// BatchItem is one request of a batch (application plus deadline;
+	// the arrival time is the batch's), for Manager.SubmitBatch and
+	// Service batches alike.
 	BatchItem = api.BatchItem
 	// BatchSubmitResult carries one verdict per item plus the
 	// completions observed while the device clock advanced.
@@ -179,12 +179,10 @@ type (
 	// too); Deterministic() strips the operational fields for
 	// cross-transport comparison.
 	StatsResult = api.StatsResult
-	// ServiceCompletion reports one finished job on the wire (the
-	// protocol form of Completion).
-	ServiceCompletion = api.Completion
-	// Event is one device lifecycle event on the wire: per-device
-	// monotone sequence number, type, virtual time and the subject
-	// job's coordinates.
+	// Event is one device lifecycle event: per-device monotone
+	// sequence number, type, virtual time and the subject job's
+	// coordinates. A Manager's event sink receives it with Device zero;
+	// the fleet stamps the device.
 	Event = api.Event
 	// EventType discriminates watch events (EventJobAdmitted, ...,
 	// EventLagged).
@@ -196,9 +194,6 @@ type (
 	// in-process fleet service and the HTTP client both implement it
 	// with identical semantics (ordering, resume, overflow markers).
 	WatchService = api.WatchService
-	// ManagerEvent is the runtime manager's in-process event form (the
-	// fleet converts it to Event, stamping the device).
-	ManagerEvent = rm.Event
 	// ServiceError is the serialisable taxonomy error: a stable code
 	// plus a message; errors.Is matches by code across transports.
 	ServiceError = api.Error
@@ -295,6 +290,7 @@ const (
 	EventJobCancelled    = api.EventJobCancelled
 	EventScheduleChanged = api.EventScheduleChanged
 	EventScheduleSwapped = api.EventScheduleSwapped
+	EventModeChanged     = api.EventModeChanged
 	EventClockAdvanced   = api.EventClockAdvanced
 	EventLagged          = api.EventLagged
 )

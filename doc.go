@@ -56,7 +56,8 @@
 //     traffic GenerateFleetTrace produces with BurstSize/BurstWindow.
 //   - streaming: every runtime manager emits typed lifecycle events —
 //     EventJobAdmitted, EventJobRejected, EventJobStarted,
-//     EventJobCompleted, EventJobCancelled, EventScheduleChanged — with
+//     EventJobCompleted, EventJobCancelled, EventScheduleChanged,
+//     EventScheduleSwapped, EventModeChanged, EventClockAdvanced — with
 //     per-device monotone, gap-free sequence numbers, and Watch
 //     subscribes to them through any supporting Service. The fleet fans
 //     events out through per-subscriber bounded buffers whose overflow
@@ -68,17 +69,18 @@
 //     (WatchRequest.FromSeq, backed by a per-device history ring of
 //     FleetOptions.EventHistory events). Over HTTP the stream is GET
 //     /v1/watch as Server-Sent Events — "id:" carries the sequence
-//     number, "data:" the Event JSON, comment lines heartbeat idle
-//     connections — and the client's Watch is channel-based and itself
-//     a WatchService, so the equivalence suite pins both transports to
-//     byte-identical event logs that reconstruct the managers' own
-//     admission statistics and executed timelines; a future gRPC
-//     streaming binding inherits that contract. Tenants can also be
-//     paced, not just budgeted: Tenant.Rate/Burst attach a token bucket
-//     (a k-item batch costs k tokens, refusals reserve nothing,
-//     never-executed operations refund) driven by a virtual-clock hook
-//     for deterministic tests — rmserve -quota-rate/-quota-burst on the
-//     command line.
+//     number, "data:" the Event JSON (internal/api's AppendEvent, the
+//     encoder that also frames the write-ahead log), comment lines
+//     heartbeat idle connections — and the client's Watch is
+//     channel-based and itself a WatchService, so the equivalence
+//     suite pins both transports to byte-identical event logs that
+//     reconstruct the managers' own admission statistics and executed
+//     timelines; a future gRPC streaming binding inherits that
+//     contract. Tenants can also be paced, not just budgeted:
+//     Tenant.Rate/Burst attach a token bucket (a k-item batch costs k
+//     tokens, refusals reserve nothing, never-executed operations
+//     refund) driven by a virtual-clock hook for deterministic tests —
+//     rmserve -quota-rate/-quota-burst on the command line.
 //
 // # Performance
 //

@@ -218,7 +218,7 @@ func TestFacadeSubmitBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, _, err := mgr.SubmitBatch(0, []ManagerRequest{{App: "lambda1", Deadline: 30}, {App: "lambda2", Deadline: 30}})
+	vs, _, err := mgr.SubmitBatch(0, []BatchItem{{App: "lambda1", Deadline: 30}, {App: "lambda2", Deadline: 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +228,15 @@ func TestFacadeSubmitBatch(t *testing.T) {
 }
 
 // TestFacadeWatch exercises the streaming surface through the facade:
-// the Watch helper over both transports, the event taxonomy constants,
-// and resume-from-sequence.
+// the Watch helper over both transports, the event taxonomy constants
+// (a controlled fleet's tier switch included), and resume-from-sequence.
 func TestFacadeWatch(t *testing.T) {
 	lib := motiv.Library()
 	devs := []FleetDevice{{Platform: Motivational2L2B(), Library: lib, Scheduler: NewMMKPMDF()}}
-	f, err := NewFleet(devs, FleetOptions{})
+	// Any observed admission latency clears the 1ns bar, so one tick
+	// after traffic escalates the fleet one tier.
+	ctl := NewController(ControllerConfig{HighLatency: 1, EnterTicks: 1})
+	f, err := NewFleet(devs, FleetOptions{Control: ctl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +274,7 @@ func TestFacadeWatch(t *testing.T) {
 	if _, err := svc.Submit(ctx, SubmitRequest{Device: 0, At: 0, App: "lambda1", Deadline: 9}); err != nil {
 		t.Fatal(err)
 	}
+	ctl.Tick(1)
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +286,7 @@ func TestFacadeWatch(t *testing.T) {
 		for _, ev := range *evs {
 			types = append(types, ev.Type)
 		}
-		want := []EventType{EventJobAdmitted, EventScheduleChanged, EventJobStarted, EventJobCompleted, EventClockAdvanced}
+		want := []EventType{EventJobAdmitted, EventScheduleChanged, EventModeChanged, EventJobStarted, EventJobCompleted, EventClockAdvanced}
 		if len(types) != len(want) {
 			t.Fatalf("%s: stream = %v, want %v", name, types, want)
 		}

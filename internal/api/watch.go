@@ -3,9 +3,12 @@ package api
 import "context"
 
 // EventType discriminates the lifecycle events of the watch protocol.
-// The values mirror the runtime manager's taxonomy one-to-one (package
-// rm), plus the transport-level EventLagged marker; they are the wire
-// strings every transport carries.
+// This package is the definition: the runtime manager (package rm)
+// emits these kinds directly, the fleet stamps the device and fans them
+// out, and every transport — in-process fleet, SSE over HTTP, the
+// write-ahead log — carries exactly these wire strings, plus the
+// transport-level EventLagged marker. An event log is therefore
+// replayable against any of them.
 type EventType string
 
 const (
@@ -47,10 +50,13 @@ const (
 	EventLagged EventType = "lagged"
 )
 
-// Event is one device lifecycle event on the wire. Within a device,
-// sequence numbers are strictly monotone starting at 1 with no gaps, so
-// a consumer can detect loss and resume from any position; different
-// devices number independently.
+// Event is one device lifecycle event, both as the manager emits it and
+// on the wire (AppendEvent encodes it, json.Unmarshal decodes it).
+// Within a device, sequence numbers are strictly monotone starting at 1
+// with no gaps, so a consumer can detect loss and resume from any
+// position; different devices number independently. Every field is a
+// plain value, so events compare with ==, which the recovery verifier
+// and the watch rings rely on.
 type Event struct {
 	// Device is the fleet device the event belongs to (-1 on an
 	// aggregated Lagged marker).
@@ -74,10 +80,10 @@ type Event struct {
 	Missed bool `json:"missed,omitempty"`
 	// Dropped counts the events a Lagged marker stands in for.
 	Dropped int `json:"dropped,omitempty"`
-	// Payload carries event-type-specific data (for ScheduleSwapped:
-	// the new schedule's segments as canonical JSON). A string rather
-	// than a structured field so Event stays comparable — the recovery
-	// verifier and the watch rings depend on that.
+	// Payload carries event-type-specific data: for ScheduleSwapped the
+	// new schedule's segments as the JSON of []schedule.Segment, for
+	// ModeChanged the mode's wire name. A string rather than a
+	// structured field so Event stays comparable.
 	Payload string `json:"payload,omitempty"`
 }
 

@@ -11,6 +11,7 @@ import (
 	"io"
 	"sort"
 
+	"adaptrm/internal/api"
 	"adaptrm/internal/opset"
 	"adaptrm/internal/platform"
 	"adaptrm/internal/predict"
@@ -93,7 +94,7 @@ func Simulate(trace []workload.Request, lib *opset.Library, plat platform.Platfo
 	res := &Result{}
 	// Completion-triggered rescheduling happens inside the manager:
 	// AdvanceTo re-plans automatically when RescheduleOnFinish is set.
-	record := func(done []rm.Completion) {
+	record := func(done []api.Completion) {
 		for _, c := range done {
 			res.Events = append(res.Events, Event{
 				Time: c.At, Kind: Completion, JobID: c.JobID, Missed: c.Missed,

@@ -9,7 +9,10 @@
 // and appends length-prefixed, CRC32C-framed event records to
 // per-device segment files, rotating by size and writing periodic
 // snapshots (canonical JSON of rm.Snapshot) so recovery is
-// snapshot-load plus tail-replay instead of full replay. Recovery
+// snapshot-load plus tail-replay instead of full replay. Each record is
+// the api.AppendEvent encoding of one api.Event — the repository's one
+// event codec, shared with the SSE stream — and decodes with
+// json.Unmarshal, so segments written by older builds still load. Recovery
 // truncates a torn tail at the first bad frame, hands the snapshot and
 // the contiguous event tail to fleet.Recover — which re-drives the
 // deterministic manager transitions and verifies every re-emitted event
@@ -44,8 +47,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
-	"math"
-	"strconv"
 
 	"adaptrm/internal/api"
 )
@@ -68,92 +69,18 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // appendFrame appends one framed event record to dst and returns the
-// extended slice. The payload is hand-rolled JSON (decodable by
-// encoding/json into api.Event): with a pre-grown dst the append path
-// performs zero heap allocations, pinned by BenchmarkWALAppend.
+// extended slice. The payload is api.AppendEvent's JSON — the same
+// bytes json.Marshal and the SSE stream produce — so with a pre-grown
+// dst the append path performs zero heap allocations, pinned by
+// BenchmarkWALAppend.
 func appendFrame(dst []byte, ev api.Event) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = appendEventJSON(dst, ev)
+	dst = api.AppendEvent(dst, ev)
 	payload := dst[start+frameHeader:]
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
 	return dst
-}
-
-// appendEventJSON encodes ev like encoding/json would (same field
-// names and omitempty semantics as api.Event), without reflection or
-// allocation. Floats use the shortest representation that round-trips
-// exactly (strconv 'g' with precision -1), so a decoded event is
-// bit-identical to the emitted one.
-func appendEventJSON(dst []byte, ev api.Event) []byte {
-	dst = append(dst, `{"device":`...)
-	dst = strconv.AppendInt(dst, int64(ev.Device), 10)
-	if ev.Seq != 0 {
-		dst = append(dst, `,"seq":`...)
-		dst = strconv.AppendUint(dst, ev.Seq, 10)
-	}
-	dst = append(dst, `,"type":`...)
-	dst = appendJSONString(dst, string(ev.Type))
-	if ev.At != 0 {
-		dst = append(dst, `,"at":`...)
-		dst = appendJSONFloat(dst, ev.At)
-	}
-	if ev.JobID != 0 {
-		dst = append(dst, `,"job_id":`...)
-		dst = strconv.AppendInt(dst, int64(ev.JobID), 10)
-	}
-	if ev.App != "" {
-		dst = append(dst, `,"app":`...)
-		dst = appendJSONString(dst, ev.App)
-	}
-	if ev.Deadline != 0 {
-		dst = append(dst, `,"deadline":`...)
-		dst = appendJSONFloat(dst, ev.Deadline)
-	}
-	if ev.Missed {
-		dst = append(dst, `,"missed":true`...)
-	}
-	if ev.Dropped != 0 {
-		dst = append(dst, `,"dropped":`...)
-		dst = strconv.AppendInt(dst, int64(ev.Dropped), 10)
-	}
-	if ev.Payload != "" {
-		dst = append(dst, `,"payload":`...)
-		dst = appendJSONString(dst, ev.Payload)
-	}
-	return append(dst, '}')
-}
-
-// appendJSONFloat writes a finite float in shortest round-trip form.
-// Event times are always finite; a non-finite value would mean manager
-// state corruption, so it is encoded as null and rejected at decode
-// (the frame fails validation) rather than silently zeroed.
-func appendJSONFloat(dst []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return append(dst, `null`...)
-	}
-	return strconv.AppendFloat(dst, f, 'g', -1, 64)
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString writes a JSON string literal. Application names are
-// short identifiers in practice, but the encoder stays safe for any
-// byte content: quotes, backslashes and control characters escape.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"' || c == '\\':
-			dst = append(dst, '\\', c)
-		case c < 0x20:
-			dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return append(dst, '"')
 }
 
 // decodeFrames scans buf and appends every decodable event to into,

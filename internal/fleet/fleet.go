@@ -196,7 +196,7 @@ const (
 type opReply struct {
 	jobID    int
 	accepted bool
-	done     []rm.Completion
+	done     []api.Completion
 	// verdicts carries the per-item outcomes of an opBatch.
 	verdicts []rm.Verdict
 	err      error
@@ -210,7 +210,7 @@ type op struct {
 	app          string
 	jobID        int
 	// items holds the requests of an opBatch.
-	items []rm.Request
+	items []api.BatchItem
 	// swap holds the refined schedule of an opSwap.
 	swap *schedule.Schedule
 	// reply, when non-nil, receives the outcome (buffered size 1, so an
@@ -235,7 +235,7 @@ type shard struct {
 	pending []op
 	// batch is the worker's batch-formation scratch.
 	batch []op
-	items []rm.Request
+	items []api.BatchItem
 	// batches/batched count multi-request batches and the submits that
 	// rode in them (operational metrics, read concurrently by Stats).
 	batches atomic.Int64
@@ -639,7 +639,7 @@ func (f *Fleet) executeBatch(sh *shard, batch []op) {
 		if b.at > at {
 			at = b.at
 		}
-		items = append(items, rm.Request{App: b.app, Deadline: b.deadline})
+		items = append(items, api.BatchItem{App: b.app, Deadline: b.deadline})
 	}
 	sh.items = items[:0]
 	d.mu.Lock()

@@ -145,21 +145,21 @@ func (f *Fleet) replayDevice(d *device, dr DeviceRecovery) (DeviceRecoveryResult
 	}
 	cursor := 0
 	var verr error
-	d.mgr.SetEventSink(func(ev rm.Event) {
+	d.mgr.SetEventSink(func(ev api.Event) {
 		if verr != nil {
 			return
 		}
-		ae := toAPIEvent(d.id, ev)
-		if cursor >= cut || ae != evs[cursor] {
+		ev.Device = d.id
+		if cursor >= cut || ev != evs[cursor] {
 			logged := "log exhausted"
 			if cursor < cut {
 				logged = fmt.Sprintf("logged %+v", evs[cursor])
 			}
-			verr = fmt.Errorf("replay diverged at seq %d: emitted %+v, %s", ev.Seq, ae, logged)
+			verr = fmt.Errorf("replay diverged at seq %d: emitted %+v, %s", ev.Seq, ev, logged)
 			return
 		}
 		cursor++
-		d.history.push(ae)
+		d.history.push(ev)
 	})
 	for _, o := range ops {
 		var err error
@@ -201,7 +201,7 @@ type replayOp struct {
 	at, deadline float64
 	app          string
 	jobID        int
-	items        []rm.Request
+	items        []api.BatchItem
 	payload      string // schedule_swapped: the logged schedule JSON
 }
 
@@ -270,9 +270,9 @@ func parseReplayOps(evs []api.Event) (ops []replayOp, cut int, err error) {
 			if k == j {
 				ops = append(ops, replayOp{kind: opSubmit, at: a.At, app: a.App, deadline: a.Deadline})
 			} else {
-				items := make([]rm.Request, 0, k-j+1)
+				items := make([]api.BatchItem, 0, k-j+1)
 				for _, ev := range evs[j : k+1] {
-					items = append(items, rm.Request{App: ev.App, Deadline: ev.Deadline})
+					items = append(items, api.BatchItem{App: ev.App, Deadline: ev.Deadline})
 				}
 				ops = append(ops, replayOp{kind: opBatch, at: a.At, items: items})
 			}

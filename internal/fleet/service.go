@@ -78,18 +78,6 @@ func mapManagerError(err error) error {
 	}
 }
 
-// completions converts manager completions to their wire form.
-func completions(done []rm.Completion) []api.Completion {
-	if len(done) == 0 {
-		return nil
-	}
-	out := make([]api.Completion, len(done))
-	for i, c := range done {
-		out[i] = api.Completion{JobID: c.JobID, At: c.At, Missed: c.Missed}
-	}
-	return out
-}
-
 // shed rejects an admission request early when the degradation
 // controller holds the fleet in ModeShedding: the request is refused
 // with api.ErrOverloaded before any mailbox slot or scheduler
@@ -128,7 +116,7 @@ func (s *Service) Submit(ctx context.Context, req api.SubmitRequest) (api.Submit
 	start := time.Now()
 	r, err := s.do(ctx, req.Device, op{kind: opSubmit, at: req.At, app: req.App, deadline: req.Deadline})
 	s.observeLatency(start)
-	res := api.SubmitResult{JobID: r.jobID, Accepted: r.accepted, Completions: completions(r.done)}
+	res := api.SubmitResult{JobID: r.jobID, Accepted: r.accepted, Completions: r.done}
 	if err != nil {
 		return res, err
 	}
@@ -145,7 +133,9 @@ func (s *Service) Submit(ctx context.Context, req api.SubmitRequest) (api.Submit
 // sequential submission. Per-item outcomes — admission, rejection,
 // unknown application, invalid deadline — are verdicts, never the call
 // error; the call error is reserved for whole-batch failures (unknown
-// device, overload, closed, time moving backwards).
+// device, overload, closed, time moving backwards). The shard worker
+// reads req.Items in place, possibly after a cancelled call returned,
+// so the caller must not modify them afterwards.
 func (s *Service) SubmitBatch(ctx context.Context, req api.BatchSubmitRequest) (api.BatchSubmitResult, error) {
 	// The empty batch is a no-op: nothing to decide, nothing enqueued,
 	// nothing charged — an empty result, not an error.
@@ -155,14 +145,10 @@ func (s *Service) SubmitBatch(ctx context.Context, req api.BatchSubmitRequest) (
 	if err := s.shed(req.Device); err != nil {
 		return api.BatchSubmitResult{}, err
 	}
-	items := make([]rm.Request, len(req.Items))
-	for i, it := range req.Items {
-		items[i] = rm.Request{App: it.App, Deadline: it.Deadline}
-	}
 	start := time.Now()
-	r, err := s.do(ctx, req.Device, op{kind: opBatch, at: req.At, items: items})
+	r, err := s.do(ctx, req.Device, op{kind: opBatch, at: req.At, items: req.Items})
 	s.observeLatency(start)
-	res := api.BatchSubmitResult{Completions: completions(r.done)}
+	res := api.BatchSubmitResult{Completions: r.done}
 	if err != nil {
 		return res, err
 	}
@@ -191,7 +177,7 @@ func verdictError(v rm.Verdict) *api.Error {
 // forward and returns the completions that produced.
 func (s *Service) Advance(ctx context.Context, req api.AdvanceRequest) (api.AdvanceResult, error) {
 	r, err := s.do(ctx, req.Device, op{kind: opAdvance, at: req.To})
-	return api.AdvanceResult{Completions: completions(r.done)}, err
+	return api.AdvanceResult{Completions: r.done}, err
 }
 
 // Cancel implements api.Service: it aborts an active job, reclaiming

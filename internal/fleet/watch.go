@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"adaptrm/internal/api"
-	"adaptrm/internal/rm"
 )
 
 // The watch subsystem fans device lifecycle events out to any number of
@@ -248,32 +247,14 @@ func clampBuffer(requested, fleetDefault int) int {
 	}
 }
 
-// toAPIEvent lifts one manager event onto the wire for device dev. It
-// is the single conversion point, shared by the live sink and the
-// recovery replay's verification (which re-derives events and compares
-// them against a persisted log).
-func toAPIEvent(dev int, ev rm.Event) api.Event {
-	return api.Event{
-		Device:   dev,
-		Seq:      ev.Seq,
-		Type:     api.EventType(ev.Type),
-		At:       ev.At,
-		JobID:    ev.JobID,
-		App:      ev.App,
-		Deadline: ev.Deadline,
-		Missed:   ev.Missed,
-		Payload:  ev.Payload,
-	}
-}
-
 // installSink wires a device's manager to the history ring and the hub.
 // The sink runs synchronously inside manager calls, which all happen
 // under d.mu, so history order always matches sequence order.
 func (f *Fleet) installSink(d *device) {
-	d.mgr.SetEventSink(func(ev rm.Event) {
-		ae := toAPIEvent(d.id, ev)
-		d.history.push(ae)
-		f.hub.publish(ae)
+	d.mgr.SetEventSink(func(ev api.Event) {
+		ev.Device = d.id
+		d.history.push(ev)
+		f.hub.publish(ev)
 	})
 }
 

@@ -92,6 +92,10 @@ func (s *Server) handleWatch(ws api.WatchService) http.HandlerFunc {
 
 		ticker := time.NewTicker(s.heartbeat)
 		defer ticker.Stop()
+		// buf holds one SSE message at a time, reused for the stream's
+		// lifetime: the event JSON comes from api.AppendEvent, the same
+		// encoder the write-ahead log frames with.
+		var buf []byte
 		for {
 			select {
 			case ev, ok := <-ch:
@@ -101,11 +105,14 @@ func (s *Server) handleWatch(ws api.WatchService) http.HandlerFunc {
 					// response, which the client sees as end-of-stream.
 					return
 				}
-				data, err := json.Marshal(ev)
-				if err != nil {
-					return
-				}
-				if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
+				buf = append(buf[:0], "id: "...)
+				buf = strconv.AppendUint(buf, ev.Seq, 10)
+				buf = append(buf, "\nevent: "...)
+				buf = append(buf, ev.Type...)
+				buf = append(buf, "\ndata: "...)
+				buf = api.AppendEvent(buf, ev)
+				buf = append(buf, "\n\n"...)
+				if _, err := w.Write(buf); err != nil {
 					return // client gone; the request context ends the watch
 				}
 				flusher.Flush()

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"adaptrm/internal/api"
 	"adaptrm/internal/motiv"
 	"adaptrm/internal/schedule"
 	"adaptrm/internal/workload"
@@ -23,9 +24,9 @@ func stripWallClock(s Stats) Stats {
 // submitSequential replays a batch through individual Submit calls at
 // the same time, returning per-request verdicts shaped like
 // SubmitBatch's.
-func submitSequential(m *Manager, t float64, reqs []Request) ([]Verdict, []Completion, error) {
+func submitSequential(m *Manager, t float64, reqs []api.BatchItem) ([]Verdict, []api.Completion, error) {
 	verdicts := make([]Verdict, len(reqs))
-	var first []Completion
+	var first []api.Completion
 	for i, r := range reqs {
 		id, ok, done, err := m.Submit(t, r.App, r.Deadline)
 		if i == 0 {
@@ -73,7 +74,7 @@ func sameVerdicts(t *testing.T, got, want []Verdict) {
 // batchScript is one deterministic interaction step.
 type batchScript struct {
 	t    float64
-	reqs []Request
+	reqs []api.BatchItem
 }
 
 // runScript drives a script through either the batch or the sequential
@@ -106,23 +107,23 @@ func runScript(t *testing.T, script []batchScript, opt Options, batched bool) (*
 func TestSubmitBatchEquivalentToSequential(t *testing.T) {
 	scripts := map[string][]batchScript{
 		"feasible-burst": {
-			{0, []Request{{"lambda1", 9}, {"lambda2", 9}}},
-			{12, []Request{{"lambda2", 20}, {"lambda1", 25}}},
+			{0, []api.BatchItem{{App: "lambda1", Deadline: 9}, {App: "lambda2", Deadline: 9}}},
+			{12, []api.BatchItem{{App: "lambda2", Deadline: 20}, {App: "lambda1", Deadline: 25}}},
 		},
 		"oversubscribed-burst": {
 			// One λ1 plus three λ2 by t=9 over-subscribes the 2L2B
 			// device: the joint solve fails and the fallback decides one
 			// by one, rejecting the overflow.
-			{0, []Request{{"lambda1", 9}, {"lambda2", 9}, {"lambda2", 9}, {"lambda2", 9}}},
-			{30, []Request{{"lambda1", 45}}},
+			{0, []api.BatchItem{{App: "lambda1", Deadline: 9}, {App: "lambda2", Deadline: 9}, {App: "lambda2", Deadline: 9}, {App: "lambda2", Deadline: 9}}},
+			{30, []api.BatchItem{{App: "lambda1", Deadline: 45}}},
 		},
 		"invalid-items": {
-			{0, []Request{{"lambda1", 9}, {"nope", 9}, {"lambda2", 0}, {"lambda2", 8}}},
-			{10, []Request{{"ghost", 12}, {"also-ghost", 12}}},
+			{0, []api.BatchItem{{App: "lambda1", Deadline: 9}, {App: "nope", Deadline: 9}, {App: "lambda2", Deadline: 0}, {App: "lambda2", Deadline: 8}}},
+			{10, []api.BatchItem{{App: "ghost", Deadline: 12}, {App: "also-ghost", Deadline: 12}}},
 		},
 		"singleton-batches": {
-			{0, []Request{{"lambda1", 9}}},
-			{1, []Request{{"lambda2", 5}}},
+			{0, []api.BatchItem{{App: "lambda1", Deadline: 9}}},
+			{1, []api.BatchItem{{App: "lambda2", Deadline: 5}}},
 		},
 	}
 	for name, script := range scripts {
@@ -173,10 +174,10 @@ func TestSubmitBatchEquivalenceOnTrace(t *testing.T) {
 	for _, r := range base {
 		slot := math.Floor(r.At/10) * 10
 		if n := len(script); n > 0 && script[n-1].t == slot {
-			script[n-1].reqs = append(script[n-1].reqs, Request{App: r.App, Deadline: r.Deadline})
+			script[n-1].reqs = append(script[n-1].reqs, api.BatchItem{App: r.App, Deadline: r.Deadline})
 			continue
 		}
-		script = append(script, batchScript{t: slot, reqs: []Request{{App: r.App, Deadline: r.Deadline}}})
+		script = append(script, batchScript{t: slot, reqs: []api.BatchItem{{App: r.App, Deadline: r.Deadline}}})
 	}
 	seqM, seqLog := runScript(t, script, Options{}, false)
 	batM, batLog := runScript(t, script, Options{}, true)
@@ -206,7 +207,7 @@ func TestSubmitBatchEquivalenceOnTrace(t *testing.T) {
 // falls back to k trial solves after the failed joint solve.
 func TestSubmitBatchFastPathActivations(t *testing.T) {
 	m := newMgr(t, Options{})
-	vs, _, err := m.SubmitBatch(0, []Request{{"lambda1", 30}, {"lambda2", 30}, {"lambda1", 40}})
+	vs, _, err := m.SubmitBatch(0, []api.BatchItem{{App: "lambda1", Deadline: 30}, {App: "lambda2", Deadline: 30}, {App: "lambda1", Deadline: 40}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestSubmitBatchFastPathActivations(t *testing.T) {
 	// Over-subscribe: the joint solve fails, then each of the 4 requests
 	// gets its own trial solve (1 + 4 activations on a fresh manager).
 	m2 := newMgr(t, Options{})
-	vs2, _, err := m2.SubmitBatch(0, []Request{{"lambda1", 9}, {"lambda2", 9}, {"lambda2", 9}, {"lambda2", 9}})
+	vs2, _, err := m2.SubmitBatch(0, []api.BatchItem{{App: "lambda1", Deadline: 9}, {App: "lambda2", Deadline: 9}, {App: "lambda2", Deadline: 9}, {App: "lambda2", Deadline: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestSubmitBatchEmptyAndInvalid(t *testing.T) {
 	if err != nil || len(vs) != 0 || len(done) != 0 {
 		t.Fatalf("empty batch: %v %v %v", vs, done, err)
 	}
-	vs, _, err = m.SubmitBatch(7, []Request{{"nope", 9}, {"lambda1", 2}})
+	vs, _, err = m.SubmitBatch(7, []api.BatchItem{{App: "nope", Deadline: 9}, {App: "lambda1", Deadline: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,10 +376,10 @@ func TestRescheduleOnFinishFiresOnAdvance(t *testing.T) {
 }
 
 // batchOf zips apps and deadlines into a batch request list.
-func batchOf(apps []string, deadlines []float64) []Request {
-	reqs := make([]Request, len(apps))
+func batchOf(apps []string, deadlines []float64) []api.BatchItem {
+	reqs := make([]api.BatchItem, len(apps))
 	for i, app := range apps {
-		reqs[i] = Request{App: app, Deadline: deadlines[i]}
+		reqs[i] = api.BatchItem{App: app, Deadline: deadlines[i]}
 	}
 	return reqs
 }

@@ -5,32 +5,33 @@ import (
 	"math/rand"
 	"testing"
 
+	"adaptrm/internal/api"
 	"adaptrm/internal/schedule"
 )
 
 // collect installs a recording sink on a fresh manager.
-func collect(t *testing.T, opt Options) (*Manager, *[]Event) {
+func collect(t *testing.T, opt Options) (*Manager, *[]api.Event) {
 	t.Helper()
 	m := newMgr(t, opt)
-	var evs []Event
-	m.SetEventSink(func(ev Event) { evs = append(evs, ev) })
+	var evs []api.Event
+	m.SetEventSink(func(ev api.Event) { evs = append(evs, ev) })
 	return m, &evs
 }
 
 // countEvents folds an event log into the admission counters it implies.
-func countEvents(evs []Event) (admitted, rejected, completed, cancelled, missed int) {
+func countEvents(evs []api.Event) (admitted, rejected, completed, cancelled, missed int) {
 	for _, ev := range evs {
 		switch ev.Type {
-		case EventJobAdmitted:
+		case api.EventJobAdmitted:
 			admitted++
-		case EventJobRejected:
+		case api.EventJobRejected:
 			rejected++
-		case EventJobCompleted:
+		case api.EventJobCompleted:
 			completed++
 			if ev.Missed {
 				missed++
 			}
-		case EventJobCancelled:
+		case api.EventJobCancelled:
 			cancelled++
 		}
 	}
@@ -39,7 +40,7 @@ func countEvents(evs []Event) (admitted, rejected, completed, cancelled, missed 
 
 // checkSeq asserts the log carries strictly monotone gap-free sequence
 // numbers starting at 1.
-func checkSeq(t *testing.T, evs []Event) {
+func checkSeq(t *testing.T, evs []api.Event) {
 	t.Helper()
 	for i, ev := range evs {
 		if ev.Seq != uint64(i+1) {
@@ -64,7 +65,7 @@ func TestEventLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSeq(t, *evs)
-	var types []EventType
+	var types []api.EventType
 	for _, ev := range *evs {
 		types = append(types, ev.Type)
 	}
@@ -72,12 +73,12 @@ func TestEventLifecycle(t *testing.T) {
 	// λ2's submission (an interior advance — no clock event), λ2
 	// admitted+schedule, then both run to completion across two explicit
 	// Drain advances, each closing with ClockAdvanced.
-	want := []EventType{
-		EventJobAdmitted, EventScheduleChanged,
-		EventJobStarted,
-		EventJobAdmitted, EventScheduleChanged,
-		EventJobStarted, EventJobCompleted, EventClockAdvanced,
-		EventJobCompleted, EventClockAdvanced,
+	want := []api.EventType{
+		api.EventJobAdmitted, api.EventScheduleChanged,
+		api.EventJobStarted,
+		api.EventJobAdmitted, api.EventScheduleChanged,
+		api.EventJobStarted, api.EventJobCompleted, api.EventClockAdvanced,
+		api.EventJobCompleted, api.EventClockAdvanced,
 	}
 	if len(types) != len(want) {
 		t.Fatalf("event types = %v, want %v", types, want)
@@ -119,7 +120,7 @@ func TestEventRejection(t *testing.T) {
 		t.Fatalf("second λ1 not rejected: %v", err)
 	}
 	tail := (*evs)[n:]
-	if len(tail) != 1 || tail[0].Type != EventJobRejected || tail[0].App != "lambda1" || tail[0].JobID != 0 {
+	if len(tail) != 1 || tail[0].Type != api.EventJobRejected || tail[0].App != "lambda1" || tail[0].JobID != 0 {
 		t.Fatalf("rejection events = %+v", tail)
 	}
 	n = len(*evs)
@@ -149,8 +150,8 @@ func TestEventCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	tail := (*evs)[n:]
-	if len(tail) != 2 || tail[0].Type != EventJobCancelled || tail[0].JobID != id ||
-		tail[1].Type != EventScheduleChanged {
+	if len(tail) != 2 || tail[0].Type != api.EventJobCancelled || tail[0].JobID != id ||
+		tail[1].Type != api.EventScheduleChanged {
 		t.Fatalf("cancel events = %+v", tail)
 	}
 	if st := m.Stats(); st.Cancelled != 1 {
@@ -191,7 +192,7 @@ func TestEventCancel(t *testing.T) {
 // activations), and per-item payloads match the requests.
 func TestEventBatchAdmission(t *testing.T) {
 	m, evs := collect(t, Options{})
-	verdicts, _, err := m.SubmitBatch(0, []Request{
+	verdicts, _, err := m.SubmitBatch(0, []api.BatchItem{
 		{App: "lambda1", Deadline: 9},
 		{App: "lambda2", Deadline: 5},
 	})
@@ -203,11 +204,11 @@ func TestEventBatchAdmission(t *testing.T) {
 			t.Fatalf("verdict %d = %+v", i, v)
 		}
 	}
-	var types []EventType
+	var types []api.EventType
 	for _, ev := range *evs {
 		types = append(types, ev.Type)
 	}
-	want := []EventType{EventJobAdmitted, EventJobAdmitted, EventScheduleChanged}
+	want := []api.EventType{api.EventJobAdmitted, api.EventJobAdmitted, api.EventScheduleChanged}
 	if len(types) != len(want) {
 		t.Fatalf("batch events = %v, want %v", types, want)
 	}

@@ -3,6 +3,7 @@ package rm
 import (
 	"fmt"
 
+	"adaptrm/internal/api"
 	"adaptrm/internal/control"
 )
 
@@ -25,7 +26,7 @@ func (m *Manager) SetMode(mo control.Mode) {
 		return
 	}
 	m.mode = mo
-	m.emit(Event{Type: EventModeChanged, At: m.now, Payload: mo.String()})
+	m.emit(api.Event{Type: api.EventModeChanged, At: m.now, Payload: mo.String()})
 }
 
 // ReplayMode re-applies a logged mode change verbatim: the payload an
@@ -39,6 +40,6 @@ func (m *Manager) ReplayMode(at float64, payload string) error {
 		return fmt.Errorf("rm: mode payload: %w", err)
 	}
 	m.mode = mo
-	m.emit(Event{Type: EventModeChanged, At: at, Payload: payload})
+	m.emit(api.Event{Type: api.EventModeChanged, At: at, Payload: payload})
 	return nil
 }

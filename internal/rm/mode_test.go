@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"adaptrm/internal/api"
 	"adaptrm/internal/control"
 	"adaptrm/internal/core"
 	"adaptrm/internal/job"
@@ -31,9 +32,9 @@ func TestSetModeEmitsEventOnce(t *testing.T) {
 	if m.Mode() != control.ModeNormal {
 		t.Fatalf("mode = %v, want normal", m.Mode())
 	}
-	var got []Event
+	var got []api.Event
 	for _, ev := range *evs {
-		if ev.Type == EventModeChanged {
+		if ev.Type == api.EventModeChanged {
 			got = append(got, ev)
 		}
 	}
@@ -139,7 +140,7 @@ func TestReplayModeVerbatim(t *testing.T) {
 		t.Fatalf("mode = %v, want shedding", m.Mode())
 	}
 	last := (*evs)[len(*evs)-1]
-	if last.Type != EventModeChanged || last.At != 3.5 || last.Payload != "shedding" {
+	if last.Type != api.EventModeChanged || last.At != 3.5 || last.Payload != "shedding" {
 		t.Fatalf("replayed event = %+v", last)
 	}
 	if err := m.ReplayMode(4, "bogus"); err == nil {

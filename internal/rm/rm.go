@@ -18,6 +18,7 @@ import (
 	"sort"
 	"time"
 
+	"adaptrm/internal/api"
 	"adaptrm/internal/control"
 	"adaptrm/internal/job"
 	"adaptrm/internal/opset"
@@ -41,17 +42,6 @@ var (
 	// ErrNoSuchJob: a cancellation names a job that is not active.
 	ErrNoSuchJob = errors.New("rm: no active job")
 )
-
-// Completion describes one finished job.
-type Completion struct {
-	// JobID is the finished job.
-	JobID int
-	// At is the completion time.
-	At float64
-	// Missed reports a deadline violation (must never happen for
-	// admitted jobs; tracked defensively).
-	Missed bool
-}
 
 // Stats aggregates manager activity. The admission counters satisfy the
 // lifecycle invariant Accepted = Completed + Cancelled + active jobs at
@@ -125,7 +115,7 @@ type Manager struct {
 	// eventSeq numbers them, started tracks which active jobs already
 	// emitted JobStarted. All nil/zero — and cost-free — until
 	// SetEventSink installs an observer.
-	sink     func(Event)
+	sink     func(api.Event)
 	eventSeq uint64
 	started  map[int]bool
 }
@@ -206,20 +196,20 @@ func (m *Manager) NextCompletion() (float64, bool) {
 // movement and stays replayable as an operation log. The interior
 // advance performed by Submit/SubmitBatch goes through advanceTo
 // directly and emits no clock event.
-func (m *Manager) AdvanceTo(t float64) ([]Completion, error) {
+func (m *Manager) AdvanceTo(t float64) ([]api.Completion, error) {
 	before := m.now
 	done, err := m.advanceTo(t)
 	if err == nil && m.now > before {
-		m.emit(Event{Type: EventClockAdvanced, At: m.now})
+		m.emit(api.Event{Type: api.EventClockAdvanced, At: m.now})
 	}
 	return done, err
 }
 
-func (m *Manager) advanceTo(t float64) ([]Completion, error) {
+func (m *Manager) advanceTo(t float64) ([]api.Completion, error) {
 	if t < m.now-schedule.Eps {
 		return nil, fmt.Errorf("%w: %v < %v", ErrTimeBackwards, t, m.now)
 	}
-	var done []Completion
+	var done []api.Completion
 	for si := range m.current.Segments {
 		seg := &m.current.Segments[si]
 		lo := math.Max(seg.Start, m.now)
@@ -244,7 +234,7 @@ func (m *Manager) advanceTo(t float64) ([]Completion, error) {
 			j.Remaining -= frac
 			end := hi
 			if j.Remaining <= 1e-9 {
-				c := Completion{JobID: j.ID, At: math.Min(finishedAt, hi)}
+				c := api.Completion{JobID: j.ID, At: math.Min(finishedAt, hi)}
 				if c.At > j.Deadline+1e-6 {
 					c.Missed = true
 					m.stats.DeadlineMisses++
@@ -253,7 +243,7 @@ func (m *Manager) advanceTo(t float64) ([]Completion, error) {
 				done = append(done, c)
 				m.removeJob(j.ID)
 				m.forget(j.ID)
-				m.emit(Event{Type: EventJobCompleted, At: c.At, JobID: j.ID, Missed: c.Missed})
+				m.emit(api.Event{Type: api.EventJobCompleted, At: c.At, JobID: j.ID, Missed: c.Missed})
 				end = c.At
 			}
 			execs = append(execs, executedPlacement{p: p, end: end})
@@ -327,7 +317,7 @@ func (m *Manager) removeJob(id int) {
 // rather than masquerading as a rejection. It returns the assigned job
 // ID, the admission verdict, and the completions that occurred while
 // advancing.
-func (m *Manager) Submit(t float64, app string, deadline float64) (id int, accepted bool, done []Completion, err error) {
+func (m *Manager) Submit(t float64, app string, deadline float64) (id int, accepted bool, done []api.Completion, err error) {
 	tbl := m.lib.Get(app)
 	if tbl == nil {
 		return 0, false, nil, fmt.Errorf("%w: %q", ErrUnknownApp, app)
@@ -364,26 +354,16 @@ func (m *Manager) submitOne(t float64, tbl *opset.Table, deadline float64) (id i
 	m.stats.Submitted++
 	if serr != nil {
 		m.stats.Rejected++
-		m.emit(Event{Type: EventJobRejected, At: t, App: tbl.Name(), Deadline: deadline})
+		m.emit(api.Event{Type: api.EventJobRejected, At: t, App: tbl.Name(), Deadline: deadline})
 		return 0, false, nil
 	}
 	m.nextID++
 	m.active = append(m.active, cand)
 	m.current = k
 	m.stats.Accepted++
-	m.emit(Event{Type: EventJobAdmitted, At: t, JobID: cand.ID, App: tbl.Name(), Deadline: deadline})
-	m.emit(Event{Type: EventScheduleChanged, At: t})
+	m.emit(api.Event{Type: api.EventJobAdmitted, At: t, JobID: cand.ID, App: tbl.Name(), Deadline: deadline})
+	m.emit(api.Event{Type: api.EventScheduleChanged, At: t})
 	return cand.ID, true, nil
-}
-
-// Request is one admission request of a batch: an application name and
-// its absolute firm deadline. The arrival time is the batch's.
-type Request struct {
-	// App names an operating-point table of the library.
-	App string
-	// Deadline is the absolute firm deadline, strictly after the batch
-	// arrival time.
-	Deadline float64
 }
 
 // Verdict is the per-request outcome of a batched submission.
@@ -417,7 +397,7 @@ type Verdict struct {
 // The returned completions are those the initial advance produced —
 // under sequential submission the first Submit at t would have carried
 // them. A top-level error (the advance failed) leaves no verdicts.
-func (m *Manager) SubmitBatch(t float64, reqs []Request) ([]Verdict, []Completion, error) {
+func (m *Manager) SubmitBatch(t float64, reqs []api.BatchItem) ([]Verdict, []api.Completion, error) {
 	verdicts := make([]Verdict, len(reqs))
 	tables := make([]*opset.Table, len(reqs))
 	valid := 0
@@ -466,7 +446,7 @@ func (m *Manager) SubmitBatch(t float64, reqs []Request) ([]Verdict, []Completio
 // the manager untouched and reports false, sending the batch to the
 // sequential fallback (which also surfaces per-request hard errors the
 // way Submit would).
-func (m *Manager) admitJointly(t float64, reqs []Request, tables []*opset.Table, verdicts []Verdict) bool {
+func (m *Manager) admitJointly(t float64, reqs []api.BatchItem, tables []*opset.Table, verdicts []Verdict) bool {
 	trial := m.active.Clone()
 	id := m.nextID
 	for i, tbl := range tables {
@@ -499,10 +479,10 @@ func (m *Manager) admitJointly(t float64, reqs []Request, tables []*opset.Table,
 		}
 		verdicts[i].JobID = cands[vi].ID
 		verdicts[i].Accepted = true
-		m.emit(Event{Type: EventJobAdmitted, At: t, JobID: cands[vi].ID, App: tables[i].Name(), Deadline: reqs[i].Deadline})
+		m.emit(api.Event{Type: api.EventJobAdmitted, At: t, JobID: cands[vi].ID, App: tables[i].Name(), Deadline: reqs[i].Deadline})
 		vi++
 	}
-	m.emit(Event{Type: EventScheduleChanged, At: t})
+	m.emit(api.Event{Type: api.EventScheduleChanged, At: t})
 	return true
 }
 
@@ -520,7 +500,7 @@ func (m *Manager) OnCompletion() {
 	}
 	if k, err := m.schedule(m.active.Clone(), m.now); err == nil {
 		m.current = k
-		m.emit(Event{Type: EventScheduleChanged, At: m.now})
+		m.emit(api.Event{Type: api.EventScheduleChanged, At: m.now})
 	}
 }
 
@@ -565,8 +545,8 @@ func (m *Manager) Cancel(jobID int) error {
 	m.removeJob(jobID)
 	m.forget(jobID)
 	m.stats.Cancelled++
-	m.emit(Event{Type: EventJobCancelled, At: m.now, JobID: jobID})
-	defer m.emit(Event{Type: EventScheduleChanged, At: m.now})
+	m.emit(api.Event{Type: api.EventJobCancelled, At: m.now, JobID: jobID})
+	defer m.emit(api.Event{Type: api.EventScheduleChanged, At: m.now})
 	if len(m.active) == 0 {
 		m.current = &schedule.Schedule{}
 		return nil
@@ -597,8 +577,8 @@ func (m *Manager) Cancel(jobID int) error {
 
 // Drain advances time until every admitted job has completed and returns
 // all completions.
-func (m *Manager) Drain() ([]Completion, error) {
-	var all []Completion
+func (m *Manager) Drain() ([]api.Completion, error) {
+	var all []api.Completion
 	for len(m.active) > 0 {
 		horizon := m.current.Horizon(m.now)
 		if horizon <= m.now+schedule.Eps {

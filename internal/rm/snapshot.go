@@ -59,9 +59,9 @@ type Snapshot struct {
 	// in ascending order.
 	Started []int `json:"started,omitempty"`
 	// Current is the active schedule's segments.
-	Current []SnapshotSegment `json:"current,omitempty"`
+	Current []schedule.Segment `json:"current,omitempty"`
 	// Executed is the audit timeline of executed fractions.
-	Executed []SnapshotSegment `json:"executed,omitempty"`
+	Executed []schedule.Segment `json:"executed,omitempty"`
 }
 
 // SnapshotJob is one active job in wire form. The operating-point table
@@ -75,26 +75,14 @@ type SnapshotJob struct {
 	Remaining float64 `json:"remaining"`
 }
 
-// SnapshotPlacement is one schedule placement in wire form.
-type SnapshotPlacement struct {
-	Job   int `json:"job"`
-	Point int `json:"point"`
-}
-
-// SnapshotSegment is one schedule segment in wire form.
-type SnapshotSegment struct {
-	Start      float64             `json:"start"`
-	End        float64             `json:"end"`
-	Placements []SnapshotPlacement `json:"placements,omitempty"`
-}
-
 // EventSeq returns the sequence number of the last emitted event (0
 // before any), letting persistence layers align snapshots with the
 // event log.
 func (m *Manager) EventSeq() uint64 { return m.eventSeq }
 
 // Snapshot captures the manager's reconstructable state. It is a pure
-// read: no events, no counter changes.
+// read: no events, no counter changes. The schedules are deep copies,
+// so the snapshot may be marshalled after the manager moves on.
 func (m *Manager) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Now:              m.now,
@@ -127,8 +115,8 @@ func (m *Manager) Snapshot() *Snapshot {
 		}
 	}
 	sort.Ints(s.Started)
-	s.Current = segmentsToWire(m.current.Segments)
-	s.Executed = segmentsToWire(m.executed)
+	s.Current = m.current.Clone().Segments
+	s.Executed = (&schedule.Schedule{Segments: m.executed}).Clone().Segments
 	return s
 }
 
@@ -136,8 +124,10 @@ func (m *Manager) Snapshot() *Snapshot {
 // platform/library/scheduler/options as the snapshotted one, no traffic
 // yet. It resolves application tables by name, rebuilds the active set,
 // schedule and executed timeline, and positions the clock, job ids and
-// event sequence exactly where the snapshot left them. No events are
-// emitted; the next emitted event continues the sequence.
+// event sequence exactly where the snapshot left them. Every placement
+// of an active job in the current schedule must name a point of the
+// job's table. No events are emitted; the next emitted event continues
+// the sequence.
 func (m *Manager) Restore(s *Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("%w: nil", ErrRestore)
@@ -177,13 +167,20 @@ func (m *Manager) Restore(s *Snapshot) error {
 			return fmt.Errorf("%w: started job %d not active", ErrRestore, id)
 		}
 	}
+	for _, seg := range s.Current {
+		for _, p := range seg.Placements {
+			if j := active.ByID(p.JobID); j != nil && (p.Point < 0 || p.Point >= j.Table.Len()) {
+				return fmt.Errorf("%w: job %d placed at point %d of %d", ErrRestore, p.JobID, p.Point, j.Table.Len())
+			}
+		}
+	}
 	m.now = s.Now
 	m.nextID = s.NextID
 	m.eventSeq = s.EventSeq
 	m.mode = mode
 	m.active = active
-	m.current = &schedule.Schedule{Segments: segmentsFromWire(s.Current)}
-	m.executed = segmentsFromWire(s.Executed)
+	m.current = (&schedule.Schedule{Segments: s.Current}).Clone()
+	m.executed = (&schedule.Schedule{Segments: s.Executed}).Clone().Segments
 	m.stats = Stats{
 		Submitted:      s.Submitted,
 		Accepted:       s.Accepted,
@@ -203,34 +200,4 @@ func (m *Manager) Restore(s *Snapshot) error {
 		m.started[id] = true
 	}
 	return nil
-}
-
-func segmentsToWire(segs []schedule.Segment) []SnapshotSegment {
-	if len(segs) == 0 {
-		return nil
-	}
-	out := make([]SnapshotSegment, len(segs))
-	for i, seg := range segs {
-		w := SnapshotSegment{Start: seg.Start, End: seg.End}
-		for _, p := range seg.Placements {
-			w.Placements = append(w.Placements, SnapshotPlacement{Job: p.JobID, Point: p.Point})
-		}
-		out[i] = w
-	}
-	return out
-}
-
-func segmentsFromWire(segs []SnapshotSegment) []schedule.Segment {
-	if len(segs) == 0 {
-		return nil
-	}
-	out := make([]schedule.Segment, len(segs))
-	for i, w := range segs {
-		seg := schedule.Segment{Start: w.Start, End: w.End}
-		for _, p := range w.Placements {
-			seg.Placements = append(seg.Placements, schedule.Placement{JobID: p.Job, Point: p.Point})
-		}
-		out[i] = seg
-	}
-	return out
 }

@@ -4,8 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+
+	"adaptrm/internal/api"
+	"adaptrm/internal/motiv"
+	"adaptrm/internal/schedule"
 )
 
 // managerState is everything a snapshot must reproduce, in comparable
@@ -14,8 +20,8 @@ type managerState struct {
 	Now      float64
 	Stats    Stats
 	Active   []SnapshotJob
-	Current  []SnapshotSegment
-	Executed []SnapshotSegment
+	Current  []schedule.Segment
+	Executed []schedule.Segment
 	EventSeq uint64
 }
 
@@ -63,7 +69,7 @@ func driveTraffic(t *testing.T, m *Manager, seed int64, ops int, start float64) 
 				}
 			}
 		case 4:
-			_, _, err := m.SubmitBatch(now, []Request{
+			_, _, err := m.SubmitBatch(now, []api.BatchItem{
 				{App: apps[0], Deadline: now + 2 + rng.Float64()*8},
 				{App: apps[1], Deadline: now + 2 + rng.Float64()*8},
 			})
@@ -82,8 +88,8 @@ func driveTraffic(t *testing.T, m *Manager, seed int64, ops int, start float64) 
 func TestSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		m := newMgr(t, Options{RescheduleOnFinish: seed%2 == 0})
-		var evs []Event
-		m.SetEventSink(func(ev Event) { evs = append(evs, ev) })
+		var evs []api.Event
+		m.SetEventSink(func(ev api.Event) { evs = append(evs, ev) })
 		driveTraffic(t, m, seed, 60, 0)
 
 		raw, err := json.Marshal(m.Snapshot())
@@ -95,8 +101,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := newMgr(t, Options{RescheduleOnFinish: seed%2 == 0})
-		var revs []Event
-		r.SetEventSink(func(ev Event) { revs = append(revs, ev) })
+		var revs []api.Event
+		r.SetEventSink(func(ev api.Event) { revs = append(revs, ev) })
 		if err := r.Restore(&snap); err != nil {
 			t.Fatal(err)
 		}
@@ -152,4 +158,56 @@ func TestRestoreValidation(t *testing.T) {
 	if err := fresh().Restore(&Snapshot{NextID: 1, Started: []int{3}}); !errors.Is(err, ErrRestore) {
 		t.Errorf("started not active: %v", err)
 	}
+}
+
+// TestRestoreRejectsPointOutOfRange: a current-schedule placement whose
+// point index lies outside its job's table would make the next advance
+// index past the table, so Restore refuses the snapshot.
+func TestRestoreRejectsPointOutOfRange(t *testing.T) {
+	snap := func(point int) *Snapshot {
+		return &Snapshot{
+			NextID: 2,
+			Active: []SnapshotJob{{ID: 1, App: "lambda1", Deadline: 20, Remaining: 1}},
+			Current: []schedule.Segment{{Start: 0, End: 17, Placements: []schedule.Placement{
+				{JobID: 1, Point: point},
+			}}},
+		}
+	}
+	points := motiv.Library().Get("lambda1").Len()
+	for _, point := range []int{-1, points, 999} {
+		if err := newMgr(t, Options{}).Restore(snap(point)); !errors.Is(err, ErrRestore) {
+			t.Errorf("point %d of %d: %v, want ErrRestore", point, points, err)
+		}
+	}
+	m := newMgr(t, Options{})
+	if err := m.Restore(snap(points - 1)); err != nil {
+		t.Fatalf("last point of the table: %v", err)
+	}
+	if _, err := m.AdvanceTo(1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzSnapshotRestore feeds arbitrary bytes through the recovery path a
+// snapshot file takes — decode, Restore, advance, snapshot again — which
+// must never panic, whatever the file holds.
+func FuzzSnapshotRestore(f *testing.F) {
+	seed, err := os.ReadFile(filepath.Join("testdata", "snapshot_motiv.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"next_id":2,"active":[{"id":1,"app":"lambda1","remaining":1}],"current":[{"start":0,"end":5,"placements":[{"job":1,"point":999}]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s Snapshot
+		if json.Unmarshal(data, &s) != nil {
+			return
+		}
+		m := newMgr(t, Options{})
+		if m.Restore(&s) != nil {
+			return
+		}
+		_, _ = m.AdvanceTo(m.Now() + 100)
+		_ = m.Snapshot()
+	})
 }

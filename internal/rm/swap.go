@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"adaptrm/internal/api"
 	"adaptrm/internal/job"
 	"adaptrm/internal/schedule"
 )
@@ -34,13 +35,13 @@ func (m *Manager) SwapSchedule(k *schedule.Schedule) bool {
 	if m.remainingEnergy(k) >= m.remainingEnergy(m.current)-1e-9 {
 		return false
 	}
-	payload, err := json.Marshal(segmentsToWire(k.Segments))
+	payload, err := json.Marshal(k.Segments)
 	if err != nil {
 		return false
 	}
 	m.current = k.Clone()
 	m.stats.Swapped++
-	m.emit(Event{Type: EventScheduleSwapped, At: m.now, Payload: string(payload)})
+	m.emit(api.Event{Type: api.EventScheduleSwapped, At: m.now, Payload: string(payload)})
 	return true
 }
 
@@ -90,12 +91,12 @@ func (m *Manager) remainingEnergy(k *schedule.Schedule) float64 {
 // re-emitted event reuses the logged payload string, so the recovery
 // verifier sees an identical event.
 func (m *Manager) ReplaySwap(at float64, payload string) error {
-	var wire []SnapshotSegment
-	if err := json.Unmarshal([]byte(payload), &wire); err != nil {
+	var k schedule.Schedule
+	if err := json.Unmarshal([]byte(payload), &k.Segments); err != nil {
 		return fmt.Errorf("rm: swap payload: %w", err)
 	}
-	m.current = &schedule.Schedule{Segments: segmentsFromWire(wire)}
+	m.current = &k
 	m.stats.Swapped++
-	m.emit(Event{Type: EventScheduleSwapped, At: at, Payload: payload})
+	m.emit(api.Event{Type: api.EventScheduleSwapped, At: at, Payload: payload})
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"adaptrm/internal/api"
 	"adaptrm/internal/core"
 	"adaptrm/internal/exmem"
 	"adaptrm/internal/opset"
@@ -68,9 +69,9 @@ func admitGap(t *testing.T, m *Manager, plat platform.Platform) *schedule.Schedu
 
 func TestSwapScheduleAcceptsImprovement(t *testing.T) {
 	m, plat := swapFixture(t)
-	var swaps []Event
-	m.SetEventSink(func(ev Event) {
-		if ev.Type == EventScheduleSwapped {
+	var swaps []api.Event
+	m.SetEventSink(func(ev api.Event) {
+		if ev.Type == api.EventScheduleSwapped {
 			swaps = append(swaps, ev)
 		}
 	})
@@ -131,16 +132,16 @@ func TestSwapScheduleRejections(t *testing.T) {
 // recovery leans on.
 func TestReplaySwapReproduces(t *testing.T) {
 	m1, plat := swapFixture(t)
-	var ev1 []Event
-	m1.SetEventSink(func(ev Event) { ev1 = append(ev1, ev) })
+	var ev1 []api.Event
+	m1.SetEventSink(func(ev api.Event) { ev1 = append(ev1, ev) })
 	k := admitGap(t, m1, plat)
 	if !m1.SwapSchedule(k) {
 		t.Fatal("swap rejected")
 	}
 
 	m2, _ := swapFixture(t)
-	var ev2 []Event
-	m2.SetEventSink(func(ev Event) { ev2 = append(ev2, ev) })
+	var ev2 []api.Event
+	m2.SetEventSink(func(ev api.Event) { ev2 = append(ev2, ev) })
 	for _, req := range []struct {
 		app      string
 		deadline float64
@@ -150,7 +151,7 @@ func TestReplaySwapReproduces(t *testing.T) {
 		}
 	}
 	swap := ev1[len(ev1)-1]
-	if swap.Type != EventScheduleSwapped {
+	if swap.Type != api.EventScheduleSwapped {
 		t.Fatalf("last live event is %s, want schedule_swapped", swap.Type)
 	}
 	if err := m2.ReplaySwap(swap.At, swap.Payload); err != nil {

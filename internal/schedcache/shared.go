@@ -193,24 +193,15 @@ func (s *Shared) probeBytes(sig []byte) (exact, ok bool) {
 // ---- wire form ----
 
 // sharedWireEntry is the JSON form of one entry in a warm-cache file.
+// Segments use the schedule package's wire form, the same as manager
+// snapshots, with placements over canonical job positions.
 type sharedWireEntry struct {
-	Sig        string              `json:"sig"`
-	NJobs      int                 `json:"njobs"`
-	Energy     float64             `json:"energy"`
-	Exact      bool                `json:"exact,omitempty"`
-	Assignment []int               `json:"assignment,omitempty"`
-	Segments   []sharedWireSegment `json:"segments"`
-}
-
-type sharedWireSegment struct {
-	Start      float64               `json:"start"`
-	End        float64               `json:"end"`
-	Placements []sharedWirePlacement `json:"placements,omitempty"`
-}
-
-type sharedWirePlacement struct {
-	Job   int `json:"job"`
-	Point int `json:"point"`
+	Sig        string             `json:"sig"`
+	NJobs      int                `json:"njobs"`
+	Energy     float64            `json:"energy"`
+	Exact      bool               `json:"exact,omitempty"`
+	Assignment []int              `json:"assignment,omitempty"`
+	Segments   []schedule.Segment `json:"segments"`
 }
 
 type sharedWireFile struct {
@@ -231,21 +222,14 @@ func (s *Shared) Save(w io.Writer) error {
 	out := sharedWireFile{Version: 1, Entries: make([]sharedWireEntry, 0, len(sigs))}
 	for _, sig := range sigs {
 		e := s.entries[Signature(sig)]
-		we := sharedWireEntry{
+		out.Entries = append(out.Entries, sharedWireEntry{
 			Sig:        sig,
 			NJobs:      e.njobs,
 			Energy:     e.energy,
 			Exact:      e.exact,
 			Assignment: e.assignment,
-		}
-		for _, seg := range e.segments {
-			ws := sharedWireSegment{Start: seg.Start, End: seg.End}
-			for _, p := range seg.Placements {
-				ws.Placements = append(ws.Placements, sharedWirePlacement{Job: p.JobID, Point: p.Point})
-			}
-			we.Segments = append(we.Segments, ws)
-		}
-		out.Entries = append(out.Entries, we)
+			Segments:   e.segments,
+		})
 	}
 	s.mu.RUnlock()
 	enc := json.NewEncoder(w)
@@ -272,22 +256,20 @@ func (s *Shared) Load(r io.Reader) error {
 			return fmt.Errorf("schedcache: warm file entry %d: %d assignments for %d jobs",
 				i, len(we.Assignment), we.NJobs)
 		}
+		for _, seg := range we.Segments {
+			for _, p := range seg.Placements {
+				if p.JobID < 0 || p.JobID >= we.NJobs {
+					return fmt.Errorf("schedcache: warm file entry %d: canonical job %d outside [0,%d)",
+						i, p.JobID, we.NJobs)
+				}
+			}
+		}
 		e := &sharedEntry{
+			segments:   we.Segments,
+			assignment: we.Assignment,
 			njobs:      we.NJobs,
 			energy:     we.Energy,
 			exact:      we.Exact,
-			assignment: we.Assignment,
-		}
-		for _, ws := range we.Segments {
-			seg := schedule.Segment{Start: ws.Start, End: ws.End}
-			for _, p := range ws.Placements {
-				if p.Job < 0 || p.Job >= we.NJobs {
-					return fmt.Errorf("schedcache: warm file entry %d: canonical job %d outside [0,%d)",
-						i, p.Job, we.NJobs)
-				}
-				seg.Placements = append(seg.Placements, schedule.Placement{JobID: p.Job, Point: p.Point})
-			}
-			e.segments = append(e.segments, seg)
 		}
 		if s.promote(Signature(we.Sig), e) {
 			s.loaded.Add(1)

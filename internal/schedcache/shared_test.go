@@ -2,6 +2,8 @@ package schedcache
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -193,6 +195,32 @@ func TestSharedLoadRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: malformed warm file accepted", name)
 		}
 	}
+}
+
+// FuzzSharedLoad feeds arbitrary warm files to Load, which must never
+// panic; whatever it accepts must save to bytes that reload into a
+// fresh tier and save identically again.
+func FuzzSharedLoad(f *testing.F) {
+	seed, err := os.ReadFile(filepath.Join("testdata", "shared_tier.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"version":1,"entries":[{"sig":"x","njobs":1,"energy":1,"segments":[{"start":0,"end":1,"placements":[]}]}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewShared()
+		if s.Load(bytes.NewReader(data)) != nil {
+			return
+		}
+		first := saveBytes(t, s)
+		again := NewShared()
+		if err := again.Load(bytes.NewReader(first)); err != nil {
+			t.Fatalf("saved tier does not reload: %v\n%s", err, first)
+		}
+		if second := saveBytes(t, again); !bytes.Equal(second, first) {
+			t.Fatalf("Save→Load→Save changed the bytes:\n%s\n%s", first, second)
+		}
+	})
 }
 
 // StoreExact replaces the L1 entry and wins the merge against an

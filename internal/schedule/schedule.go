@@ -24,18 +24,24 @@ import (
 const Eps = 1e-9
 
 // Placement maps one job to one operating point within a segment.
+//
+// Placement and Segment are also the one wire form of a schedule:
+// manager snapshots, schedule-swap event payloads and warm-cache files
+// all marshal them directly. Point indexes the job's table in the
+// library the schedule was produced with.
 type Placement struct {
 	// JobID identifies the job σ.
-	JobID int
+	JobID int `json:"job"`
 	// Point indexes the job's operating-point table.
-	Point int
+	Point int `json:"point"`
 }
 
 // Segment is one mapping μ × Δ: a set of job placements active on the
 // half-open interval [Start, End).
 type Segment struct {
-	Start, End float64
-	Placements []Placement
+	Start      float64     `json:"start"`
+	End        float64     `json:"end"`
+	Placements []Placement `json:"placements,omitempty"`
 }
 
 // Duration returns |Δ| = End − Start.
