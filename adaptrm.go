@@ -1,7 +1,6 @@
 package adaptrm
 
 import (
-	"context"
 	"io"
 	"net/http"
 
@@ -139,19 +138,14 @@ func NewController(cfg ControllerConfig) *Controller { return control.New(cfg) }
 // same per-device request order.
 type (
 	// Service is the transport-agnostic runtime-management interface:
-	// Submit/Advance/Cancel/Stats, each taking a context and returning
-	// typed results and taxonomy errors.
+	// Submit/SubmitBatch/Advance/Cancel/Stats/Watch, each taking a
+	// context and returning typed results and taxonomy errors.
 	Service = api.Service
 	// SubmitRequest asks a device to admit one application request.
 	SubmitRequest = api.SubmitRequest
 	// SubmitResult carries the admission decision: job id, verdict and
 	// the completions observed while the device clock advanced.
 	SubmitResult = api.SubmitResult
-	// BatchService is the optional batched extension of Service; both
-	// bundled transports implement it. Call it uniformly through the
-	// SubmitBatch function, which falls back to sequential submission
-	// on a plain Service.
-	BatchService = api.BatchService
 	// BatchSubmitRequest asks a device to decide several same-time
 	// requests in one scheduler activation.
 	BatchSubmitRequest = api.BatchSubmitRequest
@@ -190,10 +184,6 @@ type (
 	// WatchRequest subscribes to the event stream: optional device
 	// filter, resume-from-sequence, buffer override.
 	WatchRequest = api.WatchRequest
-	// WatchService is the streaming extension of Service; the
-	// in-process fleet service and the HTTP client both implement it
-	// with identical semantics (ordering, resume, overflow markers).
-	WatchService = api.WatchService
 	// ServiceError is the serialisable taxonomy error: a stable code
 	// plus a message; errors.Is matches by code across transports.
 	ServiceError = api.Error
@@ -447,37 +437,6 @@ func NewHTTPServer(svc Service, opt HTTPServerOptions) (*HTTPServer, error) {
 // http.DefaultClient.
 func NewHTTPClient(baseURL, token string, hc *http.Client) *HTTPClient {
 	return httpapi.NewClient(baseURL, token, hc)
-}
-
-// SubmitBatch submits several same-time requests for one device through
-// any Service: a native BatchService (the in-process fleet, the HTTP
-// client) decides them in one call — and, when the batch is jointly
-// feasible, one scheduler activation — while a plain Service falls back
-// to sequential submission. Batched admission is behaviour-preserving:
-// verdicts, job ids and the final schedule match one-by-one submission
-// at the batch time; only the activation count (and latency under
-// bursty traffic) differs. Fleets additionally coalesce queued
-// same-device submits automatically when FleetOptions.BatchWindow is
-// set.
-func SubmitBatch(ctx context.Context, svc Service, req BatchSubmitRequest) (BatchSubmitResult, error) {
-	return api.SubmitBatch(ctx, svc, req)
-}
-
-// Watch subscribes to a service's device event stream: admissions,
-// rejections, starts, completions, cancellations and schedule changes,
-// each with a per-device monotone sequence number. Both bundled
-// transports support it — the in-process fleet fans events out through
-// per-subscriber buffers, the HTTP client consumes the daemon's
-// /v1/watch Server-Sent-Events endpoint — with identical semantics:
-// per-device ordering, resume via WatchRequest.FromSeq, and an
-// EventLagged marker (never blocking) when a consumer falls behind. A
-// Service without watch support returns ErrBadRequest.
-func Watch(ctx context.Context, svc Service, req WatchRequest) (<-chan Event, error) {
-	ws, ok := svc.(WatchService)
-	if !ok {
-		return nil, api.Errf(api.ErrBadRequest, "service does not support watching")
-	}
-	return ws.Watch(ctx, req)
 }
 
 // NewPlacementRing builds the seeded consistent-hash placement. The

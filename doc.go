@@ -41,46 +41,45 @@
 //     interchangeable with the in-process fleet (the test suite holds
 //     both to identical deterministic results). cmd/rmserve -listen
 //     runs the ready-made daemon.
-//   - batched admission: SubmitBatch decides several same-time requests
-//     for one device in a single call; a jointly feasible batch costs
-//     one scheduler activation instead of one per request (the solve
-//     runs over the warm allocation-free packer), and an infeasible one
-//     falls back to per-request decisions in arrival order — so
-//     verdicts, job ids and the final schedule are always identical to
-//     sequential submission, only the activation count shrinks. Both
-//     transports implement the BatchService extension (POST
+//   - batched admission: Service.SubmitBatch decides several same-time
+//     requests for one device in a single call; a jointly feasible batch
+//     costs one scheduler activation instead of one per request (the
+//     solve runs over the warm allocation-free packer), and an
+//     infeasible one falls back to per-request decisions in arrival
+//     order — so verdicts, job ids and the final schedule are always
+//     identical to sequential submission, only the activation count
+//     shrinks. It is one of the six verbs every Service implements (POST
 //     /v1/submit-batch over HTTP; a k-item batch costs k quota units),
 //     and fleets additionally coalesce queued same-device submits
 //     automatically within FleetOptions.BatchWindow seconds of virtual
-//     time, amortising activations under the bursty multi-tenant
-//     traffic GenerateFleetTrace produces with BurstSize/BurstWindow.
+//     time, amortising activations under the bursty multi-tenant traffic
+//     GenerateFleetTrace produces with BurstSize/BurstWindow.
 //   - streaming: every runtime manager emits typed lifecycle events —
 //     EventJobAdmitted, EventJobRejected, EventJobStarted,
 //     EventJobCompleted, EventJobCancelled, EventScheduleChanged,
 //     EventScheduleSwapped, EventModeChanged, EventClockAdvanced — with
-//     per-device monotone, gap-free sequence numbers, and Watch
-//     subscribes to them through any supporting Service. The fleet fans
-//     events out through per-subscriber bounded buffers whose overflow
-//     converts into an in-stream EventLagged marker (carrying the first
-//     dropped sequence number and a drop count), so a stalled consumer
-//     loses events — explicitly — but never blocks a shard worker; the
-//     publish path is gated allocation-free like the packer. A
-//     single-device watch resumes from any retained sequence number
+//     per-device monotone, gap-free sequence numbers, and Service.Watch
+//     subscribes to them on every transport. The fleet fans events out
+//     through per-subscriber bounded buffers whose overflow converts
+//     into an in-stream EventLagged marker (carrying the first dropped
+//     sequence number and a drop count), so a stalled consumer loses
+//     events — explicitly — but never blocks a shard worker; the publish
+//     path is gated allocation-free like the packer. A single-device
+//     watch resumes from any retained sequence number
 //     (WatchRequest.FromSeq, backed by a per-device history ring of
 //     FleetOptions.EventHistory events). Over HTTP the stream is GET
 //     /v1/watch as Server-Sent Events — "id:" carries the sequence
 //     number, "data:" the Event JSON (internal/api's AppendEvent, the
 //     encoder that also frames the write-ahead log), comment lines
 //     heartbeat idle connections — and the client's Watch is
-//     channel-based and itself a WatchService, so the equivalence
-//     suite pins both transports to byte-identical event logs that
-//     reconstruct the managers' own admission statistics and executed
-//     timelines; a future gRPC streaming binding inherits that
-//     contract. Tenants can also be paced, not just budgeted:
-//     Tenant.Rate/Burst attach a token bucket (a k-item batch costs k
-//     tokens, refusals reserve nothing, never-executed operations
-//     refund) driven by a virtual-clock hook for deterministic tests —
-//     rmserve -quota-rate/-quota-burst on the command line.
+//     channel-based like the fleet's, so the equivalence suite pins both
+//     transports to byte-identical event logs that reconstruct the
+//     managers' own admission statistics and executed timelines. Tenants
+//     can also be paced, not just budgeted: Tenant.Rate/Burst attach a
+//     token bucket (a k-item batch costs k tokens, refusals reserve
+//     nothing, never-executed operations refund) driven by a
+//     virtual-clock hook for deterministic tests — rmserve
+//     -quota-rate/-quota-burst on the command line.
 //
 // # Performance
 //
@@ -162,32 +161,30 @@
 //     the full point table as canonical JSON for golden tests and
 //     operator inspection.
 //   - routing (internal/router): NewRouter wraps N backend Services —
-//     typically HTTP clients for independent rmserve nodes, each
-//     hosting the full device space — as one api.Service (Watch and
-//     Batch included) that sends every device-addressed call to the
-//     ring owner. Per-device request order is preserved (a device
-//     always resolves to the same backend); fleet-wide stats fan out
-//     concurrently and merge deterministically (counters summed —
-//     exact, since only the owner's counters are nonzero per device —
-//     device count maxed); fleet-wide watches merge one stream per
-//     backend, preserving per-device sequence order; single-device
-//     watches, including FromSeq resumes, delegate wholesale to the
-//     owner, whose retention ring holds the history. Backend taxonomy
-//     errors and context cancellations pass through untouched — a
-//     client two HTTP hops away still matches errors.Is against the
-//     same sentinels — while transport failures surface as
-//     ErrUnavailable naming the dead peer (HTTP 502 on the wire), and
-//     a merged query refuses rather than return a silent partial sum.
-//     The router is itself a Service, so it serves through the same
-//     HTTP front-end: rmserve -route -peers host1:p,host2:p boots a
-//     routing daemon whose /metrics adds per-peer request counters,
-//     error classes and latency histograms on top of the merged fleet
-//     gauges. The cross-topology equivalence suite pins one in-process
-//     fleet against the router over two live HTTP nodes sharing the
-//     ring: identical verdicts, job ids, merged statistics and
-//     per-device event logs (internal/router; scripts/
-//     multi-node-smoke.sh re-proves it over real sockets in CI, dead
-//     peer included).
+//     typically HTTP clients for independent rmserve nodes, each hosting
+//     the full device space — as one api.Service that sends every
+//     device-addressed call to the ring owner. Per-device request order
+//     is preserved (a device always resolves to the same backend);
+//     fleet-wide stats fan out concurrently and merge deterministically
+//     (counters summed — exact, since only the owner's counters are
+//     nonzero per device — device count maxed); fleet-wide watches merge
+//     one stream per backend, preserving per-device sequence order;
+//     single-device watches, including FromSeq resumes, delegate
+//     wholesale to the owner, whose retention ring holds the history.
+//     Backend taxonomy errors and context cancellations pass through
+//     untouched — a client two HTTP hops away still matches errors.Is
+//     against the same sentinels — while transport failures surface as
+//     ErrUnavailable naming the dead peer (HTTP 502 on the wire), and a
+//     merged query refuses rather than return a silent partial sum. The
+//     router is itself a Service, so it serves through the same HTTP
+//     front-end: rmserve -route -peers host1:p,host2:p boots a routing
+//     daemon whose /metrics adds per-peer request counters, error
+//     classes and latency histograms on top of the merged fleet gauges.
+//     The cross-topology equivalence suite pins one in-process fleet
+//     against the router over two live HTTP nodes sharing the ring:
+//     identical verdicts, job ids, merged statistics and per-device
+//     event logs (internal/router; scripts/ multi-node-smoke.sh
+//     re-proves it over real sockets in CI, dead peer included).
 //
 // # Operating rmserve
 //

@@ -60,10 +60,10 @@ func main() {
 	ctx := context.Background()
 
 	// Follow the whole fleet live before any traffic flows: the watch is
-	// an SSE stream (quota-free, like stats), and adaptrm.Watch works
+	// an SSE stream (quota-free, like stats), and svc.Watch works
 	// identically against f.Service(). Events are collected here and
 	// printed once the fleet has drained.
-	events, err := adaptrm.Watch(ctx, svc, adaptrm.WatchRequest{})
+	events, err := svc.Watch(ctx, adaptrm.WatchRequest{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func main() {
 	// activation instead of three. Verdicts and job ids are exactly what
 	// three sequential submits would have produced; a batch of k costs k
 	// units of the tenant budget.
-	batch, err := adaptrm.SubmitBatch(ctx, svc, adaptrm.BatchSubmitRequest{
+	batch, err := svc.SubmitBatch(ctx, adaptrm.BatchSubmitRequest{
 		Device: 1, At: 0, Items: []adaptrm.BatchItem{
 			{App: "audio-filter/medium", Deadline: 25},
 			{App: "speaker-recognition/medium", Deadline: 40},

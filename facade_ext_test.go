@@ -170,7 +170,7 @@ func TestFacadeService(t *testing.T) {
 }
 
 // TestFacadeSubmitBatch exercises the batched-admission surface: the
-// uniform SubmitBatch helper over both transports, the manager-level
+// Service's SubmitBatch over both transports, the manager-level
 // batch call, and the fleet's coalescing window option.
 func TestFacadeSubmitBatch(t *testing.T) {
 	lib := motiv.Library()
@@ -193,7 +193,7 @@ func TestFacadeSubmitBatch(t *testing.T) {
 		"in-process": f.Service(),
 		"http":       NewHTTPClient(ts.URL, "", ts.Client()),
 	} {
-		res, err := SubmitBatch(ctx, svc, BatchSubmitRequest{Device: 0, At: at, Items: []BatchItem{
+		res, err := svc.SubmitBatch(ctx, BatchSubmitRequest{Device: 0, At: at, Items: []BatchItem{
 			{App: "lambda1", Deadline: at + 30},
 			{App: "nope", Deadline: at + 30},
 			{App: "lambda2", Deadline: at + 35},
@@ -228,7 +228,7 @@ func TestFacadeSubmitBatch(t *testing.T) {
 }
 
 // TestFacadeWatch exercises the streaming surface through the facade:
-// the Watch helper over both transports, the event taxonomy constants
+// the Service's Watch over both transports, the event taxonomy constants
 // (a controlled fleet's tier switch included), and resume-from-sequence.
 func TestFacadeWatch(t *testing.T) {
 	lib := motiv.Library()
@@ -254,7 +254,7 @@ func TestFacadeWatch(t *testing.T) {
 		"in-process": f.Service(),
 		"http":       NewHTTPClient(ts.URL, "", ts.Client()),
 	} {
-		ch, err := Watch(ctx, svc, WatchRequest{})
+		ch, err := svc.Watch(ctx, WatchRequest{})
 		if err != nil {
 			t.Fatalf("%s: watch: %v", name, err)
 		}

@@ -98,19 +98,40 @@ type CancelResult struct {
 	Cancelled bool `json:"cancelled"`
 }
 
-// Service is the transport-agnostic runtime-management interface. Every
-// call takes a context: implementations must honour cancellation while
-// blocked (e.g. on a full mailbox) and return the taxonomy errors of
-// this package. The in-process fleet and the HTTP client are both
-// Services and are behaviourally interchangeable.
+// Service is the transport-agnostic runtime-management interface: the
+// one contract every front-end implements in full — the in-process
+// fleet, the HTTP client, the router, and any wrapper composed over
+// them. Every call takes a context: implementations must honour
+// cancellation while blocked (e.g. on a full mailbox) and return the
+// taxonomy errors of this package. Implementations are behaviourally
+// interchangeable, which the cross-transport equivalence suites pin.
 type Service interface {
 	// Submit negotiates admission of one request. A rejection returns
 	// (result, ErrInfeasible) with result.Accepted false.
 	Submit(ctx context.Context, req SubmitRequest) (SubmitResult, error)
+	// SubmitBatch decides several requests arriving at one instant on
+	// one device, in item order. Batched admission is
+	// behaviour-preserving: verdicts, job ids and the final schedule
+	// match submitting the items one by one at req.At; only the
+	// scheduler-activation count differs (one activation when the batch
+	// is jointly feasible). Per-item outcomes are verdicts, never the
+	// call error; the call error is reserved for whole-batch failures
+	// (unknown device, overload, closed), which decide no item. The
+	// empty batch decides nothing: an empty result, and no error unless
+	// the device address itself is invalid.
+	SubmitBatch(ctx context.Context, req BatchSubmitRequest) (BatchSubmitResult, error)
 	// Advance moves a device's virtual clock forward.
 	Advance(ctx context.Context, req AdvanceRequest) (AdvanceResult, error)
 	// Cancel aborts an active job, reclaiming its resources.
 	Cancel(ctx context.Context, req CancelRequest) (CancelResult, error)
 	// Stats snapshots fleet-wide or per-device statistics.
 	Stats(ctx context.Context, req StatsRequest) (StatsResult, error)
+	// Watch subscribes to device lifecycle events. The returned channel
+	// delivers events in per-device sequence order until the context
+	// ends, the service shuts down (after final drain events), or — for
+	// remote transports — the connection breaks; it is then closed. A
+	// slow consumer never blocks the service: overflow discards events
+	// and surfaces an EventLagged marker in-stream instead. Ordering,
+	// resume and lag semantics are identical on every transport.
+	Watch(ctx context.Context, req WatchRequest) (<-chan Event, error)
 }

@@ -1,11 +1,5 @@
 package api
 
-import (
-	"context"
-	"errors"
-	"strings"
-)
-
 // BatchItem is one admission request of a batched submission: an
 // application name and its absolute firm deadline. The arrival time is
 // the batch's.
@@ -55,85 +49,17 @@ type BatchVerdict struct {
 // failures affecting the batch as a whole (unknown device, overload,
 // malformed batch).
 type BatchSubmitResult struct {
-	// Verdicts holds one entry per decided item, in item order. On a
-	// successful call it covers every item; when the call itself fails
-	// (unknown device, overload, a mid-batch transport error on the
-	// sequential fallback) it covers only the prefix decided before the
-	// failure — check len(Verdicts) before indexing by item position.
+	// Verdicts holds one entry per item, in item order. A failed call
+	// (unknown device, overload, closed) decides no item, so it carries
+	// no verdicts.
 	Verdicts []BatchVerdict `json:"verdicts"`
 	// Completions lists jobs that finished in (previous now, At] while
 	// the device advanced to the batch arrival time.
 	Completions []Completion `json:"completions,omitempty"`
 }
 
-// DecidedOps reports how many of the batch's mutating operations were
-// actually decided, letting transports settle per-operation budgets
-// when a call fails mid-batch.
-func (r BatchSubmitResult) DecidedOps() int { return len(r.Verdicts) }
-
-// BatchService is the optional batched extension of Service. Both
-// bundled transports implement it (the in-process fleet coalesces the
-// batch into one scheduler activation when it is jointly feasible; the
-// HTTP client forwards to /v1/submit-batch); use SubmitBatch to call it
-// uniformly — it falls back to sequential Submit calls on a plain
-// Service.
-type BatchService interface {
-	Service
-	// SubmitBatch decides all items of one batch. Per-item outcomes are
-	// verdicts, never the call error; see BatchSubmitResult.
-	SubmitBatch(ctx context.Context, req BatchSubmitRequest) (BatchSubmitResult, error)
-}
-
-// perItemCode reports taxonomy codes that describe a single item rather
-// than the whole call, so the sequential fallback can fold them into
-// verdicts the way a native BatchService does.
-func perItemCode(code string) bool {
-	return code == CodeInfeasible || code == CodeUnknownApp || code == CodeBadRequest
-}
-
-// verdictError folds an item-scoped error into its wire form, trimming
-// the sentinel's own prefix so the message does not stack it twice.
-func verdictError(err error) *Error {
-	code := ErrorCode(err)
-	msg := strings.TrimPrefix(err.Error(), "api: "+code+": ")
-	return FromCode(code, msg)
-}
-
-// SubmitBatch submits a batch through any Service: a native
-// BatchService decides it in one call (one scheduler activation when
-// the batch is jointly feasible); otherwise the items are submitted
-// sequentially at the batch time. Admission outcomes are identical on
-// both paths — batched admission never changes verdicts, only
-// amortises activations. The paths differ only in how a mid-batch
-// hard failure surfaces: a native BatchService records it as that
-// item's verdict and keeps deciding, while the sequential fallback
-// aborts with the error and the verdict prefix decided so far (it
-// cannot tell a scheduler failure from a transport failure). The
-// empty batch is a no-op on both paths: zero operations decided,
-// zero quota charged, an empty result and no error.
-func SubmitBatch(ctx context.Context, svc Service, req BatchSubmitRequest) (BatchSubmitResult, error) {
-	if len(req.Items) == 0 {
-		return BatchSubmitResult{}, nil
-	}
-	if bs, ok := svc.(BatchService); ok {
-		return bs.SubmitBatch(ctx, req)
-	}
-	res := BatchSubmitResult{Verdicts: make([]BatchVerdict, len(req.Items))}
-	for i, it := range req.Items {
-		sr, err := svc.Submit(ctx, SubmitRequest{Device: req.Device, At: req.At, App: it.App, Deadline: it.Deadline})
-		res.Completions = append(res.Completions, sr.Completions...)
-		if err != nil {
-			var coded *Error
-			if errors.As(err, &coded) && perItemCode(coded.Code) {
-				res.Verdicts[i] = BatchVerdict{Error: verdictError(err)}
-				continue
-			}
-			// A call-level failure (device, transport, overload) aborts
-			// the batch; the verdicts decided so far ride along.
-			res.Verdicts = res.Verdicts[:i]
-			return res, err
-		}
-		res.Verdicts[i] = BatchVerdict{JobID: sr.JobID, Accepted: sr.Accepted}
-	}
-	return res, nil
-}
+// BatchService is the batched half of Service, kept as a name for
+// older callers.
+//
+// Deprecated: every Service implements SubmitBatch; use Service.
+type BatchService = Service

@@ -1,7 +1,5 @@
 package api
 
-import "context"
-
 // EventType discriminates the lifecycle events of the watch protocol.
 // This package is the definition: the runtime manager (package rm)
 // emits these kinds directly, the fleet stamps the device and fans them
@@ -105,19 +103,8 @@ type WatchRequest struct {
 	Buffer int `json:"buffer,omitempty"`
 }
 
-// WatchService is the streaming extension of Service. Both bundled
-// transports implement it: the in-process fleet fans events out through
-// per-subscriber buffers, and the HTTP client consumes the daemon's
-// Server-Sent-Events endpoint — the semantics (ordering, resume, lag)
-// are identical, pinned by the cross-transport equivalence suite, so a
-// later gRPC streaming binding has a fixed contract to meet.
-type WatchService interface {
-	Service
-	// Watch subscribes to device lifecycle events. The returned channel
-	// delivers events in per-device sequence order until the context
-	// ends, the service shuts down (after final drain events), or — for
-	// remote transports — the connection breaks; it is then closed. A
-	// slow consumer never blocks the service: overflow discards events
-	// and surfaces an EventLagged marker in-stream instead.
-	Watch(ctx context.Context, req WatchRequest) (<-chan Event, error)
-}
+// WatchService is the streaming half of Service, kept as a name for
+// older callers.
+//
+// Deprecated: every Service implements Watch; use Service.
+type WatchService = Service

@@ -78,6 +78,12 @@ func TestServiceSubmitBatchDecisions(t *testing.T) {
 	if _, err := svc.SubmitBatch(ctxBG, api.BatchSubmitRequest{Device: 9, At: 2, Items: []api.BatchItem{{App: "lambda1", Deadline: 9}}}); !errors.Is(err, api.ErrUnknownDevice) {
 		t.Errorf("unknown device: %v", err)
 	}
+	// An empty batch decides nothing, but its address is still checked.
+	for _, dev := range []int{-1, 9} {
+		if _, err := svc.SubmitBatch(ctxBG, api.BatchSubmitRequest{Device: dev, At: 2}); !errors.Is(err, api.ErrUnknownDevice) {
+			t.Errorf("empty batch for device %d: %v, want ErrUnknownDevice", dev, err)
+		}
+	}
 	// The empty batch is a no-op: empty result, no error, and no clock
 	// movement (nothing was enqueued for the device at all).
 	before, err := f.DeviceNow(0)
@@ -111,7 +117,7 @@ func TestServiceSubmitBatchMatchesSequential(t *testing.T) {
 	batched := newTestFleet(t, 1, Options{})
 	seq := newTestFleet(t, 1, Options{})
 	for _, g := range groups {
-		res, err := api.SubmitBatch(ctxBG, batched.Service(), api.BatchSubmitRequest{Device: 0, At: g.at, Items: g.items})
+		res, err := batched.Service().SubmitBatch(ctxBG, api.BatchSubmitRequest{Device: 0, At: g.at, Items: g.items})
 		if err != nil {
 			t.Fatal(err)
 		}

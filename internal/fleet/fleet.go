@@ -684,15 +684,6 @@ func (f *Fleet) post(ctx context.Context, dev int, o op) error {
 	return f.shardOf(dev).enqueue(ctx, o)
 }
 
-// Cancel aborts an active job on a device, reclaiming its resources for
-// the remaining jobs (the device re-plans them immediately). It waits
-// for the cancellation to take effect; see [Service.Cancel] for the
-// context-aware form.
-func (f *Fleet) Cancel(dev, jobID int) error {
-	_, err := f.Service().Cancel(context.Background(), api.CancelRequest{Device: dev, JobID: jobID})
-	return err
-}
-
 // Replay submits a merged fleet trace (e.g. workload.FleetTrace output,
 // already sorted per device) and returns on the first addressing error.
 // Unlike Service.Submit it is fire-and-forget — requests are enqueued without

@@ -22,14 +22,11 @@ type Service struct {
 	f *Fleet
 }
 
-var (
-	_ api.Service      = (*Service)(nil)
-	_ api.BatchService = (*Service)(nil)
-)
+var _ api.Service = (*Service)(nil)
 
 // Service returns the api.Service view of the fleet. The view shares
-// the fleet's shards and devices; mixing Service calls with Replay and
-// Cancel is safe, and per-device FIFO order spans both.
+// the fleet's shards and devices; mixing Service calls with Replay is
+// safe, and per-device FIFO order spans both.
 func (f *Fleet) Service() *Service { return &Service{f: f} }
 
 // do posts one operation with a reply channel and waits for its
@@ -127,7 +124,7 @@ func (s *Service) Submit(ctx context.Context, req api.SubmitRequest) (api.Submit
 	return res, nil
 }
 
-// SubmitBatch implements api.BatchService: all items arrive at req.At
+// SubmitBatch implements api.Service: all items arrive at req.At
 // and are decided in one manager activation when jointly feasible (the
 // fast path of rm.Manager.SubmitBatch), with verdicts identical to
 // sequential submission. Per-item outcomes — admission, rejection,
@@ -138,8 +135,12 @@ func (s *Service) Submit(ctx context.Context, req api.SubmitRequest) (api.Submit
 // so the caller must not modify them afterwards.
 func (s *Service) SubmitBatch(ctx context.Context, req api.BatchSubmitRequest) (api.BatchSubmitResult, error) {
 	// The empty batch is a no-op: nothing to decide, nothing enqueued,
-	// nothing charged — an empty result, not an error.
+	// nothing charged — an empty result, not an error. Its address is
+	// still checked, so every topology agrees on an unknown device.
 	if len(req.Items) == 0 {
+		if req.Device < 0 || req.Device >= len(s.f.devices) {
+			return api.BatchSubmitResult{}, fmt.Errorf("%w: %w", api.ErrUnknownDevice, s.f.deviceErr(req.Device))
+		}
 		return api.BatchSubmitResult{}, nil
 	}
 	if err := s.shed(req.Device); err != nil {

@@ -119,12 +119,11 @@ func TestServiceCancelReclaimsResources(t *testing.T) {
 	if r, err := svc.Submit(ctxBG, api.SubmitRequest{Device: 0, At: 0, App: "lambda2", Deadline: 9}); err != nil || !r.Accepted {
 		t.Fatalf("resubmit after cancel: res %+v err %v", r, err)
 	}
-	// The legacy pass-through reaches the same manager.
-	if err := f.Cancel(0, 2); err != nil {
-		t.Fatalf("legacy Cancel: %v", err)
+	if _, err := svc.Cancel(ctxBG, api.CancelRequest{Device: 0, JobID: 2}); err != nil {
+		t.Fatalf("cancel job 2: %v", err)
 	}
-	if err := f.Cancel(0, 999); !errors.Is(err, api.ErrUnknownJob) {
-		t.Fatalf("legacy Cancel unknown job: %v", err)
+	if _, err := svc.Cancel(ctxBG, api.CancelRequest{Device: 0, JobID: 999}); !errors.Is(err, api.ErrUnknownJob) {
+		t.Fatalf("cancel unknown job: %v", err)
 	}
 }
 

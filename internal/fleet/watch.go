@@ -258,15 +258,16 @@ func (f *Fleet) installSink(d *device) {
 	})
 }
 
-// Watch implements the api.WatchService subscription for the in-process
-// fleet: a channel of device lifecycle events in per-device sequence
-// order. With req.Device set the stream covers one device and may
-// resume from req.FromSeq (retained events first, then live, gap-free);
-// without it the stream covers the whole fleet, live-only. The channel
+// Watch implements api.Service for the in-process fleet: a channel of
+// device lifecycle events in per-device sequence order. With
+// req.Device set the stream covers one device and may resume from
+// req.FromSeq (retained events first, then live, gap-free); without it
+// the stream covers the whole fleet, live-only. The channel
 // closes when ctx ends or the fleet shuts down — after Close's final
 // drain events. Slow consumers never block shard workers: overflow
 // surfaces as an EventLagged marker in-stream (see api.EventLagged).
-func (f *Fleet) Watch(ctx context.Context, req api.WatchRequest) (<-chan api.Event, error) {
+func (s *Service) Watch(ctx context.Context, req api.WatchRequest) (<-chan api.Event, error) {
+	f := s.f
 	dev := -1
 	if req.Device != nil {
 		dev = *req.Device
@@ -309,6 +310,14 @@ func (f *Fleet) Watch(ctx context.Context, req api.WatchRequest) (<-chan api.Eve
 	}
 	go f.pump(ctx, sub)
 	return sub.out, nil
+}
+
+// Watch is Service().Watch on the fleet itself, which makes a *Fleet a
+// durable.Source: the durable writer tails this stream and falls back
+// on DeviceSnapshot, and the daemon and the benchmark harness hand it
+// the fleet directly.
+func (f *Fleet) Watch(ctx context.Context, req api.WatchRequest) (<-chan api.Event, error) {
+	return f.Service().Watch(ctx, req)
 }
 
 // pump drains one subscriber's buffer into its channel at the
@@ -358,11 +367,3 @@ func (f *Fleet) pump(ctx context.Context, sub *subscriber) {
 		}
 	}
 }
-
-// Watch implements api.WatchService on the fleet's service view; see
-// (*Fleet).Watch.
-func (s *Service) Watch(ctx context.Context, req api.WatchRequest) (<-chan api.Event, error) {
-	return s.f.Watch(ctx, req)
-}
-
-var _ api.WatchService = (*Service)(nil)

@@ -183,15 +183,15 @@ func (l *Log) WriteJSON(w io.Writer, n int) error {
 	return enc.Encode(d)
 }
 
-// Tail subscribes to a WatchService (the whole fleet — every device's
-// stream) and appends each event as a KindEvent record until ctx ends
-// or the service shuts down. It is the wiring that turns the fleet's
+// Tail subscribes to a Service's watch stream (the whole fleet — every
+// device's stream) and appends each event as a KindEvent record until
+// ctx ends or the service shuts down. It is the wiring that turns the fleet's
 // per-device watch streams into the postmortem log; run it in its own
 // goroutine. The watch buffer is sized generously because a lagging
 // tail loses history, but loss still surfaces honestly: an overflow
 // arrives as an EventLagged event and is logged like any other.
-func Tail(ctx context.Context, l *Log, ws api.WatchService) error {
-	ch, err := ws.Watch(ctx, api.WatchRequest{Buffer: 4096})
+func Tail(ctx context.Context, l *Log, svc api.Service) error {
+	ch, err := svc.Watch(ctx, api.WatchRequest{Buffer: 4096})
 	if err != nil {
 		return err
 	}

@@ -77,7 +77,8 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-// watchStub is a WatchService delivering a fixed event script.
+// watchStub is a Service whose Watch delivers a fixed event script; the
+// embedded nil Service stands in for the verbs Tail never calls.
 type watchStub struct {
 	api.Service
 	events []api.Event

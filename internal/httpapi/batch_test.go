@@ -1,7 +1,6 @@
 package httpapi_test
 
 import (
-	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -33,7 +32,7 @@ func driveBatches(t *testing.T, svc api.Service) ([]string, []api.BatchVerdict) 
 	var codes []string
 	var verdicts []api.BatchVerdict
 	for i, req := range batchScript {
-		res, err := api.SubmitBatch(bg, svc, req)
+		res, err := svc.SubmitBatch(bg, req)
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
@@ -44,8 +43,7 @@ func driveBatches(t *testing.T, svc api.Service) ([]string, []api.BatchVerdict) 
 			if v.Error != nil {
 				codes = append(codes, v.Error.Code)
 				// Compare by code: the human-readable message is free
-				// text and legitimately differs between the native batch
-				// path and the sequential fallback.
+				// text.
 				v.Error = &api.Error{Code: v.Error.Code}
 			} else {
 				codes = append(codes, "")
@@ -95,7 +93,7 @@ func TestSubmitBatchPerItemErrors(t *testing.T) {
 	f := newFleet(t, 1, fleet.Options{})
 	defer f.Close()
 	svc := overHTTP(t, f.Service(), httpapi.ServerOptions{}, "")
-	res, err := api.SubmitBatch(bg, svc, api.BatchSubmitRequest{Device: 0, At: 0, Items: []api.BatchItem{
+	res, err := svc.SubmitBatch(bg, api.BatchSubmitRequest{Device: 0, At: 0, Items: []api.BatchItem{
 		{App: "lambda1", Deadline: 9},
 		{App: "ghost", Deadline: 9},
 		{App: "lambda2", Deadline: 0},
@@ -127,11 +125,11 @@ func TestSubmitBatchPerItemErrors(t *testing.T) {
 	}
 	// The empty batch is a 200 with an empty result on the wire — a
 	// no-op, not an error envelope.
-	if res, err := api.SubmitBatch(bg, svc, api.BatchSubmitRequest{Device: 0, At: 1}); err != nil || len(res.Verdicts) != 0 || len(res.Completions) != 0 {
+	if res, err := svc.SubmitBatch(bg, api.BatchSubmitRequest{Device: 0, At: 1}); err != nil || len(res.Verdicts) != 0 || len(res.Completions) != 0 {
 		t.Errorf("empty batch: res %+v err %v, want empty result and nil error", res, err)
 	}
 	// Unknown devices stay call-level.
-	if _, err := api.SubmitBatch(bg, svc, api.BatchSubmitRequest{Device: 7, At: 1, Items: []api.BatchItem{{App: "lambda1", Deadline: 9}}}); !errors.Is(err, api.ErrUnknownDevice) {
+	if _, err := svc.SubmitBatch(bg, api.BatchSubmitRequest{Device: 7, At: 1, Items: []api.BatchItem{{App: "lambda1", Deadline: 9}}}); !errors.Is(err, api.ErrUnknownDevice) {
 		t.Errorf("unknown device: %v", err)
 	}
 }
@@ -145,13 +143,13 @@ func TestSubmitBatchQuota(t *testing.T) {
 	svc := overHTTP(t, f.Service(), httpapi.ServerOptions{
 		Tenants: []httpapi.Tenant{{Name: "t", Token: "tok", MaxRequests: 3}},
 	}, "tok")
-	if _, err := api.SubmitBatch(bg, svc, api.BatchSubmitRequest{Device: 0, At: 0, Items: []api.BatchItem{
+	if _, err := svc.SubmitBatch(bg, api.BatchSubmitRequest{Device: 0, At: 0, Items: []api.BatchItem{
 		{App: "lambda1", Deadline: 30}, {App: "lambda2", Deadline: 30},
 	}}); err != nil {
 		t.Fatal(err)
 	}
 	// 1 unit left: a 2-item batch must be refused whole...
-	if _, err := api.SubmitBatch(bg, svc, api.BatchSubmitRequest{Device: 0, At: 1, Items: []api.BatchItem{
+	if _, err := svc.SubmitBatch(bg, api.BatchSubmitRequest{Device: 0, At: 1, Items: []api.BatchItem{
 		{App: "lambda2", Deadline: 40}, {App: "lambda2", Deadline: 40},
 	}}); !errors.Is(err, api.ErrQuotaExceeded) {
 		t.Fatalf("over-budget batch: %v", err)
@@ -170,93 +168,65 @@ func TestSubmitBatchQuota(t *testing.T) {
 	// The whole budget is spent — an empty batch must still pass: zero
 	// items charge zero units (not one), and the reply is an empty
 	// result, not a quota error.
-	if res, err := api.SubmitBatch(bg, svc, api.BatchSubmitRequest{Device: 0, At: 3}); err != nil || len(res.Verdicts) != 0 {
+	if res, err := svc.SubmitBatch(bg, api.BatchSubmitRequest{Device: 0, At: 3}); err != nil || len(res.Verdicts) != 0 {
 		t.Errorf("empty batch on spent budget: res %+v err %v, want empty result and nil error", res, err)
 	}
 }
 
-// plainService hides the fleet's native batch path, exercising the
-// server-side sequential fallback of /v1/submit-batch.
-type plainService struct{ inner api.Service }
-
-func (p plainService) Submit(ctx context.Context, r api.SubmitRequest) (api.SubmitResult, error) {
-	return p.inner.Submit(ctx, r)
-}
-func (p plainService) Advance(ctx context.Context, r api.AdvanceRequest) (api.AdvanceResult, error) {
-	return p.inner.Advance(ctx, r)
-}
-func (p plainService) Cancel(ctx context.Context, r api.CancelRequest) (api.CancelResult, error) {
-	return p.inner.Cancel(ctx, r)
-}
-func (p plainService) Stats(ctx context.Context, r api.StatsRequest) (api.StatsResult, error) {
-	return p.inner.Stats(ctx, r)
-}
-
-// flakyService admits a fixed number of submits, then reports overload
-// — a refundable, call-level failure mid-batch.
-type flakyService struct {
-	plainService
-	allowed int
-	calls   int
-}
-
-func (f *flakyService) Submit(ctx context.Context, r api.SubmitRequest) (api.SubmitResult, error) {
-	f.calls++
-	if f.calls > f.allowed {
-		return api.SubmitResult{}, api.Errf(api.ErrOverloaded, "synthetic overload")
+// TestSubmitBatchRefundsWholeBatch: a batch fails whole, so a k-item
+// batch refused with a refundable error — an unknown device, or a
+// closed fleet — hands all k units back to both the total budget and
+// the rate bucket. The tenant holds exactly k of each on a frozen
+// clock, so a single leaked unit turns the next attempt into a quota
+// refusal.
+func TestSubmitBatchRefundsWholeBatch(t *testing.T) {
+	items := []api.BatchItem{
+		{App: "lambda1", Deadline: 30}, {App: "lambda2", Deadline: 30}, {App: "lambda2", Deadline: 35},
 	}
-	return f.plainService.Submit(ctx, r)
-}
-
-// TestSubmitBatchPartialRefund: when the sequential fallback fails
-// mid-batch with a refundable error, only the undecided items hand
-// their budget units back — the executed prefix stays charged, so the
-// budget keeps meaning "mutating operations executed".
-func TestSubmitBatchPartialRefund(t *testing.T) {
-	f := newFleet(t, 1, fleet.Options{})
-	defer f.Close()
-	svc := &flakyService{plainService: plainService{f.Service()}, allowed: 2}
-	client := overHTTP(t, svc, httpapi.ServerOptions{
-		Tenants: []httpapi.Tenant{{Name: "t", Token: "tok", MaxRequests: 4}},
-	}, "tok")
-	res, err := api.SubmitBatch(bg, client, api.BatchSubmitRequest{Device: 0, At: 0, Items: []api.BatchItem{
-		{App: "lambda1", Deadline: 30},
-		{App: "lambda2", Deadline: 30},
-		{App: "lambda2", Deadline: 30},
-		{App: "lambda2", Deadline: 30},
-	}})
-	if !errors.Is(err, api.ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
-	}
-	if len(res.Verdicts) != 2 {
-		t.Fatalf("partial verdicts = %+v, want the 2 decided items", res.Verdicts)
-	}
-	// 2 of the 4 reserved units were spent; exactly 2 remain.
-	svc.allowed = 1 << 30
-	for i := 0; i < 2; i++ {
-		if _, err := client.Submit(bg, api.SubmitRequest{Device: 0, At: float64(i + 1), App: "lambda2", Deadline: float64(i) + 40}); err != nil && !errors.Is(err, api.ErrInfeasible) {
-			t.Fatalf("remaining unit %d: %v", i, err)
-		}
-	}
-	if _, err := client.Submit(bg, api.SubmitRequest{Device: 0, At: 3, App: "lambda2", Deadline: 43}); !errors.Is(err, api.ErrQuotaExceeded) {
-		t.Fatalf("budget not enforced after partial refund: %v", err)
-	}
-}
-
-// TestSubmitBatchFallbackOverPlainService: a server wrapping a Service
-// without a native batch path still serves /v1/submit-batch, with
-// identical verdicts (sequential submission is the defining semantics).
-func TestSubmitBatchFallbackOverPlainService(t *testing.T) {
-	native := newFleet(t, 2, fleet.Options{})
-	wrapped := newFleet(t, 2, fleet.Options{})
-	defer native.Close()
-	defer wrapped.Close()
-	nc, nv := driveBatches(t, overHTTP(t, native.Service(), httpapi.ServerOptions{}, ""))
-	wc, wv := driveBatches(t, overHTTP(t, plainService{wrapped.Service()}, httpapi.ServerOptions{}, ""))
-	if !reflect.DeepEqual(nc, wc) {
-		t.Errorf("fallback codes diverged:\nnative   %v\nfallback %v", nc, wc)
-	}
-	if !reflect.DeepEqual(nv, wv) {
-		t.Errorf("fallback verdicts diverged:\nnative   %+v\nfallback %+v", nv, wv)
+	for _, c := range []struct {
+		name   string
+		device int
+		closed bool
+		want   *api.Error
+	}{
+		{"unknown device", 7, false, api.ErrUnknownDevice},
+		{"closed fleet", 0, true, api.ErrClosed},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFleet(t, 1, fleet.Options{})
+			if c.closed {
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				defer f.Close()
+			}
+			svc := overHTTP(t, f.Service(), httpapi.ServerOptions{
+				Now: newVclock().now,
+				Tenants: []httpapi.Tenant{{
+					Name: "t", Token: "tok", MaxRequests: len(items), Rate: 1, Burst: len(items),
+				}},
+			}, "tok")
+			for i := 0; i < 3; i++ {
+				res, err := svc.SubmitBatch(bg, api.BatchSubmitRequest{Device: c.device, At: 0, Items: items})
+				if !errors.Is(err, c.want) {
+					t.Fatalf("attempt %d: %v, want %v (a unit leaked?)", i, err, c.want)
+				}
+				if len(res.Verdicts) != 0 {
+					t.Fatalf("attempt %d: failed batch carries verdicts %+v", i, res.Verdicts)
+				}
+			}
+			if c.closed {
+				return
+			}
+			// The full allowance is still there, and it is really charged:
+			// the batch spends all of it and the next call is refused.
+			if _, err := svc.SubmitBatch(bg, api.BatchSubmitRequest{Device: 0, At: 0, Items: items}); err != nil {
+				t.Fatalf("batch on the refunded allowance: %v", err)
+			}
+			if _, err := svc.Submit(bg, api.SubmitRequest{Device: 0, At: 1, App: "lambda1", Deadline: 40}); !errors.Is(err, api.ErrQuotaExceeded) {
+				t.Fatalf("call past the allowance: %v, want ErrQuotaExceeded", err)
+			}
+		})
 	}
 }

@@ -22,10 +22,7 @@ type Client struct {
 	http    *http.Client
 }
 
-var (
-	_ api.Service      = (*Client)(nil)
-	_ api.BatchService = (*Client)(nil)
-)
+var _ api.Service = (*Client)(nil)
 
 // NewClient builds a client for a daemon at baseURL (e.g.
 // "http://localhost:8080"). token may be empty against an open server.
@@ -131,7 +128,7 @@ func (c *Client) Submit(ctx context.Context, req api.SubmitRequest) (api.SubmitR
 	return res, err
 }
 
-// SubmitBatch implements api.BatchService over HTTP: the whole batch is
+// SubmitBatch implements api.Service over HTTP: the whole batch is
 // one round-trip and, on a batching server, one scheduler activation
 // when jointly feasible. Per-item errors come back inside the verdicts;
 // their codes are folded through the taxonomy exactly like call-level

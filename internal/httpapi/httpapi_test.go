@@ -164,10 +164,14 @@ func TestInProcessAndHTTPEquivalence(t *testing.T) {
 	}
 }
 
-// errService returns a canned error from every method, so the status
-// mapping can be tested for taxonomy members the real fleet rarely
-// produces.
-type errService struct{ err error }
+// errService returns a canned error from the four unary verbs, so the
+// status mapping can be tested for taxonomy members the real fleet
+// rarely produces. The embedded nil Service stands in for the rest,
+// which no test calls.
+type errService struct {
+	api.Service
+	err error
+}
 
 func (s errService) Submit(context.Context, api.SubmitRequest) (api.SubmitResult, error) {
 	return api.SubmitResult{}, s.err

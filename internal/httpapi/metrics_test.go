@@ -657,7 +657,7 @@ func TestFlightlogEndpoint(t *testing.T) {
 	// Submit only once the tail is subscribed: a watch sees only events
 	// published after it starts, and a busy host can run the submit
 	// first, leaving the ring without its event records.
-	subscribed := &watchStarted{WatchService: f.Service(), started: make(chan struct{})}
+	subscribed := &watchStarted{Service: f.Service(), started: make(chan struct{})}
 	go func() {
 		defer close(done)
 		flightlog.Tail(tailCtx, fl, subscribed)
@@ -835,19 +835,19 @@ func TestQuotaRefusalSurfacing(t *testing.T) {
 	}
 }
 
-// waitFor polls cond for up to two seconds.
 // watchStarted closes started once its Watch call has subscribed.
 type watchStarted struct {
-	api.WatchService
+	api.Service
 	started chan struct{}
 }
 
 func (w *watchStarted) Watch(ctx context.Context, req api.WatchRequest) (<-chan api.Event, error) {
-	ch, err := w.WatchService.Watch(ctx, req)
+	ch, err := w.Service.Watch(ctx, req)
 	close(w.started)
 	return ch, err
 }
 
+// waitFor polls cond for up to two seconds.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)

@@ -106,19 +106,19 @@ func TestRateQuotaBatchCost(t *testing.T) {
 		Tenants: []httpapi.Tenant{{Name: "t", Token: "tok", Rate: 1, Burst: 3}},
 	}, "tok")
 	items := []api.BatchItem{{App: "lambda1", Deadline: 1000}, {App: "lambda2", Deadline: 1000}}
-	if _, err := api.SubmitBatch(bg, svc, api.BatchSubmitRequest{Device: 0, At: 0, Items: items}); err != nil {
+	if _, err := svc.SubmitBatch(bg, api.BatchSubmitRequest{Device: 0, At: 0, Items: items}); err != nil {
 		t.Fatalf("2-item batch on 3 tokens: %v", err)
 	}
 	// One token left: a 2-item batch is refused whole, and the single
 	// token is still there for a 1-op call afterwards.
-	if _, err := api.SubmitBatch(bg, svc, api.BatchSubmitRequest{Device: 0, At: 1, Items: items}); !errors.Is(err, api.ErrQuotaExceeded) {
+	if _, err := svc.SubmitBatch(bg, api.BatchSubmitRequest{Device: 0, At: 1, Items: items}); !errors.Is(err, api.ErrQuotaExceeded) {
 		t.Fatalf("2-item batch on 1 token: %v, want ErrQuotaExceeded", err)
 	}
 	if code := submitCode(t, svc, 2); code != "" && code != api.CodeInfeasible {
 		t.Fatalf("remaining token was burned by the refused batch: %s", code)
 	}
 	// An empty batch needs no tokens even with the bucket dry.
-	if res, err := api.SubmitBatch(bg, svc, api.BatchSubmitRequest{Device: 0, At: 3}); err != nil || len(res.Verdicts) != 0 {
+	if res, err := svc.SubmitBatch(bg, api.BatchSubmitRequest{Device: 0, At: 3}); err != nil || len(res.Verdicts) != 0 {
 		t.Fatalf("empty batch on dry bucket: res %+v err %v", res, err)
 	}
 }

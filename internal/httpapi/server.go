@@ -16,13 +16,12 @@
 //	GET  /debug/flightlog[?n=N]               → postmortem ring dump (opt-in)
 //	GET  /debug/pprof/...                     → runtime profiles (token-gated, opt-in)
 //
-// /v1/watch (served when the wrapped Service implements
-// api.WatchService) streams device lifecycle events as SSE: each event
-// is written as "id: <seq>", "event: <type>" and a "data:" line holding
-// the api.Event JSON, with comment-line heartbeats keeping idle
-// connections alive. from_seq resumes a single-device stream from a
-// sequence number; see api.WatchRequest for the semantics. Watching is
-// read-only and quota-free, like stats.
+// /v1/watch streams device lifecycle events as SSE: each event is
+// written as "id: <seq>", "event: <type>" and a "data:" line holding the
+// api.Event JSON, with comment-line heartbeats keeping idle connections
+// alive. from_seq resumes a single-device stream from a sequence number;
+// see api.WatchRequest for the semantics. Watching is read-only and
+// quota-free, like stats.
 //
 // Successful calls return 200 with the result object. Failures return a
 // taxonomy-derived status code and an envelope
@@ -296,9 +295,9 @@ func (s *Server) StopStreams() {
 // implementation works — servers compose) in the HTTP front-end. It
 // rejects tenant lists with empty or duplicate tokens — a duplicate
 // would silently shadow the first tenant's device restrictions and
-// quota — and with negative rate quotas. When the wrapped Service also
-// implements api.WatchService, GET /v1/watch serves its event stream
-// as Server-Sent Events; otherwise the route does not exist.
+// quota — and with negative rate quotas. Every verb of the wrapped
+// Service gets its route: the mutating verbs as JSON POSTs, Stats as a
+// JSON GET, Watch as the GET /v1/watch Server-Sent-Events stream.
 func NewServer(svc api.Service, opt ServerOptions) (*Server, error) {
 	s := &Server{
 		svc: svc, mux: http.NewServeMux(), now: opt.Now, heartbeat: opt.WatchHeartbeat,
@@ -329,23 +328,14 @@ func NewServer(svc api.Service, opt ServerOptions) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/submit", handle(s, one, s.svc.Submit))
 	s.mux.HandleFunc("POST /v1/advance", handle(s, one, s.svc.Advance))
 	s.mux.HandleFunc("POST /v1/cancel", handle(s, one, s.svc.Cancel))
-	// A batch spends one budget unit per item; api.SubmitBatch uses the
-	// wrapped Service's native batch path when it has one and falls back
-	// to sequential submission otherwise, so servers compose over any
-	// Service.
+	// A batch spends one budget unit per item.
 	s.mux.HandleFunc("POST /v1/submit-batch", handle(s,
-		func(r api.BatchSubmitRequest) int { return len(r.Items) },
-		func(ctx context.Context, r api.BatchSubmitRequest) (api.BatchSubmitResult, error) {
-			return api.SubmitBatch(ctx, s.svc, r)
-		}))
+		func(r api.BatchSubmitRequest) int { return len(r.Items) }, s.svc.SubmitBatch))
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	routes := []string{"/v1/submit", "/v1/advance", "/v1/cancel", "/v1/submit-batch", "/v1/stats", "/healthz", "/metrics"}
-	if ws, ok := svc.(api.WatchService); ok {
-		s.mux.HandleFunc("GET /v1/watch", s.handleWatch(ws))
-		routes = append(routes, "/v1/watch")
-	}
+	s.mux.HandleFunc("GET /v1/watch", s.handleWatch)
+	routes := []string{"/v1/submit", "/v1/advance", "/v1/cancel", "/v1/submit-batch", "/v1/stats", "/healthz", "/metrics", "/v1/watch"}
 	if s.flight != nil {
 		s.mux.HandleFunc("GET /debug/flightlog", s.handleFlightlog)
 		routes = append(routes, "/debug/flightlog")
@@ -471,21 +461,6 @@ func decode(w http.ResponseWriter, r *http.Request, into any) error {
 	return nil
 }
 
-// settle refunds the reserved units that never executed on a device, so
-// budgets count work done rather than attempts. A result exposing a
-// decided-operation count (batches) keeps its executed prefix charged
-// even when a later item aborted the call — the sequential fallback can
-// fail mid-batch with part of the work already done.
-func settle(t *tenantState, n int, res any, err error) {
-	if !refundable(err) {
-		return
-	}
-	if d, ok := res.(interface{ DecidedOps() int }); ok {
-		n -= d.DecidedOps()
-	}
-	t.refund(n)
-}
-
 // handle builds the shared mutating-call pipeline for one service verb:
 // authenticate the token (before any body work reaches the parser),
 // decode the typed body, authorise the addressed device, reserve the
@@ -520,7 +495,12 @@ func handle[Req interface{ TargetDevice() int }, Res any](s *Server, cost func(R
 		}
 		res, err := call(r.Context(), req)
 		if err != nil {
-			settle(t, n, res, err)
+			// Budgets count work done, not attempts. A call fails whole —
+			// a batch hitting a refundable error decided none of its
+			// items — so all n units come back.
+			if refundable(err) {
+				t.refund(n)
+			}
 			writeError(w, err, res)
 			return
 		}

@@ -20,120 +20,118 @@ import (
 // query) and failures there are ordinary JSON error envelopes; once the
 // stream starts, the only remaining signals are events, heartbeats and
 // the connection closing.
-func (s *Server) handleWatch(ws api.WatchService) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t, err := s.tenantOf(r)
+func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
+	t, err := s.tenantOf(r)
+	if err != nil {
+		writeError(w, err, nil)
+		return
+	}
+	var req api.WatchRequest
+	q := r.URL.Query()
+	scope := -1
+	if qd := q.Get("device"); qd != "" {
+		n, err := strconv.Atoi(qd)
 		if err != nil {
+			writeError(w, api.Errf(api.ErrBadRequest, "device query %q: %v", qd, err), nil)
+			return
+		}
+		req.Device, scope = &n, n
+	}
+	// Fleet-wide scope is for unrestricted tenants only, like stats;
+	// an explicit negative device is an unknown device and is left to
+	// the service to report uniformly.
+	if scope >= 0 || req.Device == nil {
+		if err := allow(t, scope); err != nil {
 			writeError(w, err, nil)
 			return
 		}
-		var req api.WatchRequest
-		q := r.URL.Query()
-		scope := -1
-		if qd := q.Get("device"); qd != "" {
-			n, err := strconv.Atoi(qd)
-			if err != nil {
-				writeError(w, api.Errf(api.ErrBadRequest, "device query %q: %v", qd, err), nil)
-				return
-			}
-			req.Device, scope = &n, n
-		}
-		// Fleet-wide scope is for unrestricted tenants only, like stats;
-		// an explicit negative device is an unknown device and is left to
-		// the service to report uniformly.
-		if scope >= 0 || req.Device == nil {
-			if err := allow(t, scope); err != nil {
-				writeError(w, err, nil)
-				return
-			}
-		}
-		if qs := q.Get("from_seq"); qs != "" {
-			n, err := strconv.ParseUint(qs, 10, 64)
-			if err != nil {
-				writeError(w, api.Errf(api.ErrBadRequest, "from_seq query %q: %v", qs, err), nil)
-				return
-			}
-			req.FromSeq = n
-		}
-		if qb := q.Get("buffer"); qb != "" {
-			n, err := strconv.Atoi(qb)
-			if err != nil {
-				writeError(w, api.Errf(api.ErrBadRequest, "buffer query %q: %v", qb, err), nil)
-				return
-			}
-			req.Buffer = n
-		}
-		flusher, ok := w.(http.Flusher)
-		if !ok {
-			writeError(w, api.Errf(api.ErrInternal, "transport cannot stream"), nil)
-			return
-		}
-		ch, err := ws.Watch(r.Context(), req)
+	}
+	if qs := q.Get("from_seq"); qs != "" {
+		n, err := strconv.ParseUint(qs, 10, 64)
 		if err != nil {
-			writeError(w, err, nil)
+			writeError(w, api.Errf(api.ErrBadRequest, "from_seq query %q: %v", qs, err), nil)
 			return
 		}
-		// A daemon's server-level ReadTimeout covers the whole request —
-		// including the background read that detects client disconnects —
-		// and would sever a long-lived stream when it fires. Streams pace
-		// themselves (heartbeats, write failures), so lift the read
-		// deadline for this connection; transports that cannot are left
-		// with their configured behaviour.
-		_ = http.NewResponseController(w).SetReadDeadline(time.Time{})
-		h := w.Header()
-		h.Set("Content-Type", "text/event-stream")
-		h.Set("Cache-Control", "no-cache")
-		h.Set("X-Accel-Buffering", "no") // streaming through buffering proxies
-		w.WriteHeader(http.StatusOK)
-		// An opening comment commits the response headers immediately, so
-		// the client observes a live stream before the first event.
-		fmt.Fprint(w, ": stream open\n\n")
-		flusher.Flush()
+		req.FromSeq = n
+	}
+	if qb := q.Get("buffer"); qb != "" {
+		n, err := strconv.Atoi(qb)
+		if err != nil {
+			writeError(w, api.Errf(api.ErrBadRequest, "buffer query %q: %v", qb, err), nil)
+			return
+		}
+		req.Buffer = n
+	}
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		writeError(w, api.Errf(api.ErrInternal, "transport cannot stream"), nil)
+		return
+	}
+	ch, err := s.svc.Watch(r.Context(), req)
+	if err != nil {
+		writeError(w, err, nil)
+		return
+	}
+	// A daemon's server-level ReadTimeout covers the whole request —
+	// including the background read that detects client disconnects —
+	// and would sever a long-lived stream when it fires. Streams pace
+	// themselves (heartbeats, write failures), so lift the read
+	// deadline for this connection; transports that cannot are left
+	// with their configured behaviour.
+	_ = http.NewResponseController(w).SetReadDeadline(time.Time{})
+	h := w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-cache")
+	h.Set("X-Accel-Buffering", "no") // streaming through buffering proxies
+	w.WriteHeader(http.StatusOK)
+	// An opening comment commits the response headers immediately, so
+	// the client observes a live stream before the first event.
+	fmt.Fprint(w, ": stream open\n\n")
+	flusher.Flush()
 
-		ticker := time.NewTicker(s.heartbeat)
-		defer ticker.Stop()
-		// buf holds one SSE message at a time, reused for the stream's
-		// lifetime: the event JSON comes from api.AppendEvent, the same
-		// encoder the write-ahead log frames with.
-		var buf []byte
-		for {
-			select {
-			case ev, ok := <-ch:
-				if !ok {
-					// The subscription ended (service shutdown after its
-					// final drain, or the request context ended): close the
-					// response, which the client sees as end-of-stream.
-					return
-				}
-				buf = append(buf[:0], "id: "...)
-				buf = strconv.AppendUint(buf, ev.Seq, 10)
-				buf = append(buf, "\nevent: "...)
-				buf = append(buf, ev.Type...)
-				buf = append(buf, "\ndata: "...)
-				buf = api.AppendEvent(buf, ev)
-				buf = append(buf, "\n\n"...)
-				if _, err := w.Write(buf); err != nil {
-					return // client gone; the request context ends the watch
-				}
-				flusher.Flush()
-			case <-ticker.C:
-				if _, err := fmt.Fprint(w, ": heartbeat\n\n"); err != nil {
-					return
-				}
-				flusher.Flush()
-			case <-s.streamStop:
-				// Graceful daemon shutdown: the stream ends here so
-				// http.Server.Shutdown can drain; returning cancels the
-				// request context, which ends the service subscription.
-				return
-			case <-r.Context().Done():
+	ticker := time.NewTicker(s.heartbeat)
+	defer ticker.Stop()
+	// buf holds one SSE message at a time, reused for the stream's
+	// lifetime: the event JSON comes from api.AppendEvent, the same
+	// encoder the write-ahead log frames with.
+	var buf []byte
+	for {
+		select {
+		case ev, ok := <-ch:
+			if !ok {
+				// The subscription ended (service shutdown after its
+				// final drain, or the request context ended): close the
+				// response, which the client sees as end-of-stream.
 				return
 			}
+			buf = append(buf[:0], "id: "...)
+			buf = strconv.AppendUint(buf, ev.Seq, 10)
+			buf = append(buf, "\nevent: "...)
+			buf = append(buf, ev.Type...)
+			buf = append(buf, "\ndata: "...)
+			buf = api.AppendEvent(buf, ev)
+			buf = append(buf, "\n\n"...)
+			if _, err := w.Write(buf); err != nil {
+				return // client gone; the request context ends the watch
+			}
+			flusher.Flush()
+		case <-ticker.C:
+			if _, err := fmt.Fprint(w, ": heartbeat\n\n"); err != nil {
+				return
+			}
+			flusher.Flush()
+		case <-s.streamStop:
+			// Graceful daemon shutdown: the stream ends here so
+			// http.Server.Shutdown can drain; returning cancels the
+			// request context, which ends the service subscription.
+			return
+		case <-r.Context().Done():
+			return
 		}
 	}
 }
 
-// Watch implements api.WatchService over HTTP: it opens the daemon's
+// Watch implements api.Service over HTTP: it opens the daemon's
 // /v1/watch SSE stream and decodes it onto a channel, preserving the
 // in-process semantics — per-device sequence order, resume via FromSeq,
 // EventLagged on overflow — so a consumer can swap the fleet for a
@@ -214,5 +212,3 @@ func (c *Client) Watch(ctx context.Context, req api.WatchRequest) (<-chan api.Ev
 	}()
 	return ch, nil
 }
-
-var _ api.WatchService = (*Client)(nil)

@@ -10,21 +10,9 @@ import (
 	"adaptrm/internal/placement"
 )
 
-// nopService satisfies api.Service for constructor tests.
-type nopService struct{}
-
-func (nopService) Submit(context.Context, api.SubmitRequest) (api.SubmitResult, error) {
-	return api.SubmitResult{}, nil
-}
-func (nopService) Advance(context.Context, api.AdvanceRequest) (api.AdvanceResult, error) {
-	return api.AdvanceResult{}, nil
-}
-func (nopService) Cancel(context.Context, api.CancelRequest) (api.CancelResult, error) {
-	return api.CancelResult{}, nil
-}
-func (nopService) Stats(context.Context, api.StatsRequest) (api.StatsResult, error) {
-	return api.StatsResult{}, nil
-}
+// nopService satisfies api.Service for constructor tests, which never
+// call it.
+type nopService struct{ api.Service }
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, nil); err == nil {

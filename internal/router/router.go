@@ -1,7 +1,6 @@
 // Package router is the multi-node front-end of the fleet protocol: an
-// api.Service (plus the Watch and Batch extensions) that owns a
-// placement over N backend Services and routes every device-addressed
-// operation to the backend owning that device. The backends are
+// api.Service that owns a placement over N backend Services and routes
+// every device-addressed operation to the backend owning that device. The backends are
 // typically httpapi.Clients pointed at independent rmserve nodes — the
 // HTTP client already is an api.Service, so the router composes over
 // the wire for free — but any Service works, which is what the
@@ -54,11 +53,7 @@ type Router struct {
 	metrics  *routerMetrics
 }
 
-var (
-	_ api.Service      = (*Router)(nil)
-	_ api.BatchService = (*Router)(nil)
-	_ api.WatchService = (*Router)(nil)
-)
+var _ api.Service = (*Router)(nil)
 
 // New builds a router over backends using place, whose owner count must
 // equal the backend count. Nil place means placement.Ring over the
@@ -87,9 +82,6 @@ func New(backends []Backend, place placement.Placement) (*Router, error) {
 // backend fleet partitioned by the identical mapping.
 func (r *Router) Placement() placement.Placement { return r.place }
 
-// ownerOf resolves a device to its backend index.
-func (r *Router) ownerOf(device int) int { return r.place.Owner(device) }
-
 // peerError classifies a backend call's failure. Taxonomy errors pass
 // through untouched — the backend answered, its verdict stands two hops
 // away exactly as it would in process. Context endings pass through —
@@ -113,10 +105,16 @@ func (r *Router) peerError(peer int, err error) error {
 
 // route runs one device-addressed call against the owning backend,
 // recording per-peer metrics and folding transport failures into the
-// taxonomy.
+// taxonomy. The placement contract covers non-negative IDs only, so a
+// negative device is an unknown device, refused before any backend is
+// contacted or counted.
 func route[Res any](r *Router, device int, op string,
 	call func(b Backend) (Res, error)) (Res, error) {
-	p := r.ownerOf(device)
+	if device < 0 {
+		var zero Res
+		return zero, api.Errf(api.ErrUnknownDevice, "device %d", device)
+	}
+	p := r.place.Owner(device)
 	stop := r.metrics.begin(p, op)
 	res, err := call(r.backends[p])
 	err = r.peerError(p, err)
@@ -145,13 +143,11 @@ func (r *Router) Cancel(ctx context.Context, req api.CancelRequest) (api.CancelR
 	})
 }
 
-// SubmitBatch implements api.BatchService: the whole batch addresses
-// one device, so it routes like any single-device call. A backend that
-// is only a plain Service decides the items sequentially through the
-// api.SubmitBatch fallback — verdicts are identical either way.
+// SubmitBatch implements api.Service: the whole batch addresses one
+// device, so it routes like any single-device call.
 func (r *Router) SubmitBatch(ctx context.Context, req api.BatchSubmitRequest) (api.BatchSubmitResult, error) {
 	return route(r, req.Device, opBatch, func(b Backend) (api.BatchSubmitResult, error) {
-		return api.SubmitBatch(ctx, b.Service, req)
+		return b.Service.SubmitBatch(ctx, req)
 	})
 }
 

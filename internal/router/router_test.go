@@ -71,10 +71,10 @@ func mustRouter(t testing.TB, backends []router.Backend, place placement.Placeme
 // background; the returned function blocks until the stream closes and
 // yields everything received. Draining concurrently keeps the harness
 // from ever back-pressuring the stream under test.
-func collect(t *testing.T, ws api.WatchService, device int) func() []api.Event {
+func collect(t *testing.T, svc api.Service, device int) func() []api.Event {
 	t.Helper()
 	dev := device
-	ch, err := ws.Watch(bg, api.WatchRequest{Device: &dev, Buffer: 4096})
+	ch, err := svc.Watch(bg, api.WatchRequest{Device: &dev, Buffer: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func drive(t *testing.T, svc api.Service, trace []workload.FleetRequest, devices
 		// A same-time batch with a generous and a tight deadline, so the
 		// batch path crosses the router with mixed verdicts possible.
 		at = horizon + 20
-		br, berr := api.SubmitBatch(bg, svc, api.BatchSubmitRequest{
+		br, berr := svc.SubmitBatch(bg, api.BatchSubmitRequest{
 			Device: d, At: at,
 			Items: []api.BatchItem{
 				{App: "lambda1", Deadline: at + 9},
@@ -407,8 +407,12 @@ func TestRouterUnavailable(t *testing.T) {
 	}
 }
 
-// errService returns a canned error from every method.
-type errService struct{ err error }
+// errService returns a canned error from the four unary verbs; the
+// embedded nil Service stands in for the rest, which no test calls.
+type errService struct {
+	api.Service
+	err error
+}
 
 func (s errService) Submit(context.Context, api.SubmitRequest) (api.SubmitResult, error) {
 	return api.SubmitResult{}, s.err
@@ -530,11 +534,11 @@ func TestRouterWatchResumeDelegates(t *testing.T) {
 	// resume opens a FromSeq-1 subscription, then cancels the live job
 	// as a terminator and reads up to its cancellation event — a
 	// deterministic cut through an otherwise open-ended stream.
-	resume := func(t *testing.T, ws api.WatchService, cancelID int) []api.Event {
+	resume := func(t *testing.T, svc api.Service, cancelID int) []api.Event {
 		t.Helper()
 		ctx, cancel := context.WithCancel(bg)
 		d := dev
-		ch, err := ws.Watch(ctx, api.WatchRequest{Device: &d, FromSeq: 1, Buffer: 4096})
+		ch, err := svc.Watch(ctx, api.WatchRequest{Device: &d, FromSeq: 1, Buffer: 4096})
 		if err != nil {
 			cancel()
 			t.Fatal(err)
@@ -546,7 +550,7 @@ func TestRouterWatchResumeDelegates(t *testing.T) {
 			for range ch {
 			}
 		}()
-		if _, err := ws.Cancel(bg, api.CancelRequest{Device: dev, JobID: cancelID}); err != nil {
+		if _, err := svc.Cancel(bg, api.CancelRequest{Device: dev, JobID: cancelID}); err != nil {
 			t.Fatal(err)
 		}
 		var evs []api.Event
@@ -642,17 +646,11 @@ func TestRouterMetricsExport(t *testing.T) {
 
 // statsService is a healthy stub that only answers Stats, with a canned
 // snapshot — the merge inputs of a routed fleet.
-type statsService struct{ res api.StatsResult }
+type statsService struct {
+	api.Service
+	res api.StatsResult
+}
 
-func (s statsService) Submit(context.Context, api.SubmitRequest) (api.SubmitResult, error) {
-	return api.SubmitResult{}, nil
-}
-func (s statsService) Advance(context.Context, api.AdvanceRequest) (api.AdvanceResult, error) {
-	return api.AdvanceResult{}, nil
-}
-func (s statsService) Cancel(context.Context, api.CancelRequest) (api.CancelResult, error) {
-	return api.CancelResult{}, nil
-}
 func (s statsService) Stats(context.Context, api.StatsRequest) (api.StatsResult, error) {
 	return s.res, nil
 }
@@ -794,5 +792,87 @@ func TestMergeStats(t *testing.T) {
 		if got := merged(in...).ControlMode; got != c.want {
 			t.Errorf("worst mode of %q = %q, want %q", c.modes, got, c.want)
 		}
+	}
+}
+
+// unreachableService is a backend the router must never contact: the
+// embedded nil Service panics on any call.
+type unreachableService struct{ api.Service }
+
+// TestRouterNegativeDevice: the placement contract covers non-negative
+// device IDs only, so every verb addressed to a negative device —
+// including an empty batch — is refused as ErrUnknownDevice by the
+// router itself, under both placements, without contacting a backend
+// or counting a peer request.
+func TestRouterNegativeDevice(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		place placement.Placement
+	}{
+		{"modulo", placement.Modulo(2)},
+		{"ring", placement.MustRing(placement.RingConfig{Owners: 2, Seed: 42})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rt := mustRouter(t, []router.Backend{
+				{Name: "a", Service: unreachableService{}},
+				{Name: "b", Service: unreachableService{}},
+			}, c.place)
+			dev := -1
+			items := []api.BatchItem{{App: "lambda1", Deadline: 9}}
+			for _, v := range []struct {
+				verb string
+				call func() error
+			}{
+				{"submit", func() error {
+					_, err := rt.Submit(bg, api.SubmitRequest{Device: dev, App: "lambda1", Deadline: 9})
+					return err
+				}},
+				{"submit_batch", func() error {
+					_, err := rt.SubmitBatch(bg, api.BatchSubmitRequest{Device: dev, Items: items})
+					return err
+				}},
+				{"empty batch", func() error {
+					_, err := rt.SubmitBatch(bg, api.BatchSubmitRequest{Device: dev})
+					return err
+				}},
+				{"advance", func() error {
+					_, err := rt.Advance(bg, api.AdvanceRequest{Device: dev, To: 1})
+					return err
+				}},
+				{"cancel", func() error {
+					_, err := rt.Cancel(bg, api.CancelRequest{Device: dev, JobID: 1})
+					return err
+				}},
+				{"stats", func() error {
+					_, err := rt.Stats(bg, api.StatsRequest{Device: &dev})
+					return err
+				}},
+				{"watch", func() error {
+					_, err := rt.Watch(bg, api.WatchRequest{Device: &dev})
+					return err
+				}},
+			} {
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Errorf("%s: panicked: %v", v.verb, p)
+						}
+					}()
+					if err := v.call(); !errors.Is(err, api.ErrUnknownDevice) {
+						t.Errorf("%s: %v, want ErrUnknownDevice", v.verb, err)
+					}
+				}()
+			}
+			var sb strings.Builder
+			if err := rt.WriteMetrics(&sb); err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range strings.Split(sb.String(), "\n") {
+				if strings.HasPrefix(line, "adaptrm_router_requests_total{") && !strings.HasSuffix(line, " 0") ||
+					strings.HasPrefix(line, "adaptrm_router_errors_total{") {
+					t.Errorf("refused call was counted as a peer request: %s", line)
+				}
+			}
+		})
 	}
 }

@@ -7,14 +7,7 @@ import (
 	"adaptrm/internal/api"
 )
 
-// errNotStreaming is the taxonomy error for a backend that does not
-// implement api.WatchService — a misconfigured deployment, spelled as a
-// bad request rather than a transport failure.
-func errNotStreaming(name string) error {
-	return api.Errf(api.ErrBadRequest, "peer %s does not stream events", name)
-}
-
-// Watch implements api.WatchService.
+// Watch implements api.Service.
 //
 // A single-device subscription — including any FromSeq resume —
 // delegates wholesale to the device's owner: the owning node holds the
@@ -31,17 +24,9 @@ func errNotStreaming(name string) error {
 // subscription context).
 func (r *Router) Watch(ctx context.Context, req api.WatchRequest) (<-chan api.Event, error) {
 	if req.Device != nil {
-		p := r.ownerOf(*req.Device)
-		b := r.backends[p]
-		ws, ok := b.Service.(api.WatchService)
-		if !ok {
-			return nil, errNotStreaming(b.Name)
-		}
-		stop := r.metrics.begin(p, opWatch)
-		ch, err := ws.Watch(ctx, req)
-		err = r.peerError(p, err)
-		stop(err)
-		return ch, err
+		return route(r, *req.Device, opWatch, func(b Backend) (<-chan api.Event, error) {
+			return b.Service.Watch(ctx, req)
+		})
 	}
 
 	// Fleet-wide: open every backend stream first, so a refused
@@ -49,13 +34,8 @@ func (r *Router) Watch(ctx context.Context, req api.WatchRequest) (<-chan api.Ev
 	ctx, cancel := context.WithCancel(ctx)
 	chans := make([]<-chan api.Event, len(r.backends))
 	for i, b := range r.backends {
-		ws, ok := b.Service.(api.WatchService)
-		if !ok {
-			cancel()
-			return nil, errNotStreaming(b.Name)
-		}
 		stop := r.metrics.begin(i, opWatch)
-		ch, err := ws.Watch(ctx, req)
+		ch, err := b.Service.Watch(ctx, req)
 		err = r.peerError(i, err)
 		stop(err)
 		if err != nil {
